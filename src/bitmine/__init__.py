@@ -18,7 +18,7 @@ from .distance import (DistanceMatrix, UndefinedDistanceError, distance_matrix,
                        triangle_violation_rate)
 from .miner import FrequentPattern, MiningConfig, MiningResult, generate, mine, seed_level0
 from .occurrence import (OccurrenceParams, PredicateError, TransactionSet,
-                         frequency, occurs)
+                         frequency, occurs, support)
 from .oracle import IncompleteEnumerationError, OracleConfig, enumerate_frequent
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __all__ = [
     "code_len", "cond_code_len", "joint_code_len", "joint_code_len_canonical",
     "make_backend",
     "OccurrenceParams", "PredicateError", "TransactionSet", "frequency", "occurs",
+    "support",
     "FrequentPattern", "MiningConfig", "MiningResult", "generate", "mine",
     "seed_level0",
     "IncompleteEnumerationError", "OracleConfig", "enumerate_frequent",

@@ -17,7 +17,7 @@ from . import textio
 from .codelength import EstimationError, make_backend
 from .datagen import DEFAULT_MOTIF, PlantSpec, gen_planted, gen_random
 from .distance import MEASURES, UndefinedDistanceError, distance_matrix
-from .miner import MiningConfig, mine
+from .miner import FrequentPattern, MiningConfig, mine
 from .occurrence import OccurrenceParams, PredicateError, TransactionSet
 from .oracle import IncompleteEnumerationError, OracleConfig, enumerate_frequent
 
@@ -100,7 +100,9 @@ def build_parser() -> _Parser:
     p.add_argument("--step-bits", type=int, default=4)
     p.add_argument("--max-level", type=int, default=64)
     p.add_argument("--mode", choices=["sound", "heuristic"], default="sound")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads for the pair-by-pair count of the lz and "
+                        "external backends; the kt count does not use them")
     p.add_argument("--out", default=None)
     _add_backend_args(p)
     _add_threshold_args(p)
@@ -198,17 +200,11 @@ def _cmd_oracle(args) -> int:
                   file=sys.stderr)
         return EXIT_DATA
 
-    class _Rec:
-        __slots__ = ("pattern", "count", "code_len", "level")
-
-        def __init__(self, pattern, count, code_len):
-            self.pattern, self.count = pattern, count
-            self.code_len, self.level = code_len, 0
-
     header = _backend_header(args)
     header.update(_threshold_header(args))
     header.update(epsilon=args.epsilon, input=os.path.basename(args.input))
-    records = [_Rec(p, c, backend.code_len(p)) for p, c in found.items()]
+    records = [FrequentPattern(p, c, backend.code_len(p), 0)
+               for p, c in found.items()]
     _write(args.out, textio.format_result(records, header))
     return EXIT_OK
 

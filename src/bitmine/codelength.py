@@ -6,7 +6,9 @@ functions of the input and are monotone: appending bits never decreases the
 code length.  Joint code lengths are computed over the plain concatenation of
 the two strings with the adaptive model carried across the boundary, so
 ``joint(c, x) >= code_len(c)`` holds for the built-ins and conditional code
-lengths are never negative.
+lengths are never negative.  A backend's ``key`` is its value identity:
+backends with equal keys assign equal code lengths, so results computed
+for one may be reused for the other.
 
 An external adapter scores a string as 8 times the byte length of the output
 of a user-supplied compression command.  It is *not* monotone and is only
@@ -21,6 +23,8 @@ import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import bits as bitutil
 
 
@@ -34,14 +38,38 @@ def _kt_step_cost(c: int, n: int) -> float:
     return math.log2(2 * n + 2) - math.log2(2 * c + 1)
 
 
+@lru_cache(maxsize=None)
+def kt_log_tables(size: int):
+    """Cumulative tables ``A[m] = sum_{i<m} log2(2i + 1)`` and
+    ``B[m] = sum_{i<m} log2(2i + 2)`` for m < size, as read-only arrays.
+
+    By exchangeability, coding d0 zeros and d1 ones in one context whose
+    counts are (c0, c1) costs, in any order,
+    ``(B[n + d] - B[n]) - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1])``
+    with n = c0 + c1 and d = d0 + d1.  The sums are compensated
+    (Neumaier), so every entry is within about one ulp of its exact value.
+    """
+    tables = []
+    for offset in (1, 2):
+        out = [0.0] * size
+        s = comp = 0.0
+        for i in range(1, size):
+            term = math.log2(2 * (i - 1) + offset)
+            t = s + term
+            comp += (s - t) + term if abs(s) >= term else (term - t) + s
+            s = t
+            out[i] = s + comp
+        arr = np.array(out)
+        arr.flags.writeable = False
+        tables.append(arr)
+    return tables[0], tables[1]
+
+
 @dataclass(frozen=True)
 class KTState:
     """Adaptive estimator state: recent context plus per-context bit counts."""
     context: str
     counts: dict  # context str -> (zeros, ones)
-
-    def __hash__(self):  # pragma: no cover - states are not used as keys
-        return hash((self.context, tuple(sorted(self.counts.items()))))
 
 
 class KTBackend:
@@ -64,6 +92,11 @@ class KTBackend:
     def __repr__(self):
         return f"KTBackend(order={self.order})"
 
+    @property
+    def key(self):
+        """Value identity: backends with equal keys give equal code lengths."""
+        return (self.kind, self.order)
+
     def initial_state(self) -> KTState:
         return KTState("", {})
 
@@ -84,18 +117,7 @@ class KTBackend:
 
     def extend_cost(self, state: KTState, bits: str) -> float:
         """Cost of coding ``bits`` after ``state`` (state is not kept)."""
-        order = self.order
-        ctx = state.context
-        counts = dict(state.counts)
-        cost = 0.0
-        for ch in bits:
-            b = ch == "1"
-            c0, c1 = counts.get(ctx, (0, 0))
-            cost += _kt_step_cost(c1 if b else c0, c0 + c1)
-            counts[ctx] = (c0, c1 + 1) if b else (c0 + 1, c1)
-            if order:
-                ctx = ctx[1 - order:] + ch if order > 1 else ch
-        return cost
+        return self.extend(state, bits)[1]
 
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)
@@ -150,6 +172,10 @@ class LZBackend:
     def __repr__(self):
         return "LZBackend()"
 
+    @property
+    def key(self):
+        return (self.kind, self.order)
+
     def initial_state(self) -> LZState:
         return LZState({}, 1, 0, 0)
 
@@ -200,6 +226,10 @@ class ExternalBackend:
 
     def __repr__(self):
         return f"ExternalBackend({self.command!r})"
+
+    @property
+    def key(self):
+        return (self.kind, self.command)
 
     def code_len(self, x: str) -> float:
         if x == "":

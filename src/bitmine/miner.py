@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bits as bitutil
-from .occurrence import OccurrenceParams, TransactionSet, _joint_from_cache, _occurs_len
+from .occurrence import OccurrenceParams, TransactionSet, support
 
 MODES = ("sound", "heuristic")
 
@@ -84,53 +83,31 @@ class MiningResult:
         return len(self.patterns)
 
 
-def _count_pass(backend, params, T, candidates, threads=1):
-    """Exact support count for every candidate in one pass over T.
-
-    Candidates are grouped by backend signature (strings with equal
-    signatures cost the same after any coder state, hence have identical
-    support), each group is counted once, and groups may be counted in
-    parallel.  Counts are independent of grouping and thread count.
-    """
-    cache = T.cached(backend)
-    groups: dict = {}
-    for x in candidates:
-        sig = backend.signature(x)
-        groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
-
-    def count_one(group):
-        x = group[0]
-        len_x = backend.code_len(x)
-        count = 0
-        for y, (len_y, state_y) in zip(T.items, cache):
-            extra = _joint_from_cache(backend, state_y, y, x, len_y)
-            if _occurs_len(params, len_x, len_y, extra):
-                count += 1
-        return count
-
-    members = list(groups.values())
-    if threads > 1 and len(members) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(count_one, members))
-    else:
-        results = [count_one(g) for g in members]
-
-    counts = {}
-    for group, n in zip(members, results):
-        for x in group:
-            counts[x] = n
-    return counts
+def _count_pass(backend, params, T, candidates, threads=1, code_len=None):
+    """Exact support count for every candidate in one pass over T (see
+    ``occurrence.support``)."""
+    return support(backend, params, T, candidates, code_len, threads)
 
 
-def _prefilter(backend, params, candidates, max_len_y):
+def _prefilter(backend, params, candidates, max_len_y, code_len):
     """Drop candidates that cannot satisfy entropy reduction in any
     transaction; output-preserving because support of a dropped candidate
     is necessarily zero."""
-    if params.variant == "scale-free":
-        bound = params.c1 * max_len_y
-    else:
-        bound = max_len_y - params.c3
-    return [x for x in candidates if backend.code_len(x) <= bound]
+    bound = params.entropy_bound(max_len_y)
+    return [x for x in candidates if code_len(x) <= bound]
+
+
+def _memo(backend):
+    """``backend.code_len`` memoized, for the candidates of one level."""
+    lengths: dict = {}
+
+    def code_len(x):
+        length = lengths.get(x)
+        if length is None:
+            length = lengths[x] = backend.code_len(x)
+        return length
+
+    return code_len
 
 
 def seed_level0(backend, params: OccurrenceParams, T: TransactionSet,
@@ -141,12 +118,14 @@ def seed_level0(backend, params: OccurrenceParams, T: TransactionSet,
     eps = config.resolve_epsilon(len(T))
     if eps > len(T):
         return []
+    code_len = _memo(backend)
     candidates = []
     for length in range(max(1, params.min_pattern_len), config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
-    candidates = _prefilter(backend, params, candidates, T.max_code_len(backend))
-    counts = _count_pass(backend, params, T, candidates, config.threads)
-    return [FrequentPattern(x, c, backend.code_len(x), 0)
+    candidates = _prefilter(backend, params, candidates, T.max_code_len(backend),
+                            code_len)
+    counts = _count_pass(backend, params, T, candidates, config.threads, code_len)
+    return [FrequentPattern(x, c, code_len(x), 0)
             for x, c in sorted(counts.items()) if c >= eps]
 
 
@@ -184,9 +163,11 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
             break
         level += 1
         candidates = generate(frontier, config.step_bits)
-        candidates = _prefilter(backend, params, candidates, max_len_y)
-        counts = _count_pass(backend, params, T, candidates, config.threads)
-        frontier = [FrequentPattern(x, c, backend.code_len(x), level)
+        code_len = _memo(backend)  # a level's candidates are all new strings
+        candidates = _prefilter(backend, params, candidates, max_len_y, code_len)
+        counts = _count_pass(backend, params, T, candidates, config.threads,
+                             code_len)
+        frontier = [FrequentPattern(x, c, code_len(x), level)
                     for x, c in sorted(counts.items()) if c >= eps]
         found.extend(frontier)
 

@@ -1,4 +1,5 @@
-"""The pattern-occurrence predicate and the frequency function.
+"""The pattern-occurrence predicate, the frequency function and the batched
+support kernel.
 
 A pattern x occurs in a datum y when it is both substantially simpler than y
 (entropy reduction) and carries only bounded information not already in y
@@ -9,15 +10,35 @@ A pattern x occurs in a datum y when it is both substantially simpler than y
 
 with 0 < c1 < 1, 0 < c2 < 1 for the scale-free form and c3, c4 > 0 for the
 additive form.  All inequalities are non-strict.
+
+``frequency`` is the definitional count: one sequential coder call per
+transaction.  ``support`` counts many candidates at once.  For the KT
+backend it evaluates L(y||x) - L(y) in closed form with numpy and hands
+every pair within ``REDECIDE_TOL`` of the noise threshold back to the
+sequential coder, so its decisions equal those of ``frequency``; other
+backends take the sequential path of ``frequency``.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .codelength import EstimationError
+import numpy as np
+
+from .codelength import EstimationError, KTBackend, KTState, kt_log_tables
 
 VARIANTS = ("scale-free", "additive")
+
+# A closed-form extra cost this close to the noise threshold (plus the
+# tables' own rounding bound) is re-decided by the sequential coder.
+REDECIDE_TOL = 1e-9
+# Elements (context entries x transactions) of one block of the KT kernel;
+# bounds the kernel's working memory.
+_BLOCK_ELEMENTS = 1 << 13
+# Largest (contexts x transactions) count table the KT kernel builds; a
+# larger transaction set is counted by the sequential path.
+_KT_TABLE_MAX = 1 << 22
 
 
 class PredicateError(Exception):
@@ -45,6 +66,43 @@ class OccurrenceParams:
         if self.min_pattern_len < 1:
             raise ValueError("min_pattern_len must be >= 1")
 
+    def entropy_bound(self, len_y):
+        """Largest L(x) that passes entropy reduction against L(y) = len_y
+        (a float or an array of them)."""
+        if self.variant == "scale-free":
+            return self.c1 * len_y
+        return len_y - self.c3
+
+    def noise_bound(self, len_y):
+        """Largest L(y||x) - L(y) that passes noise exclusion."""
+        if self.variant == "scale-free":
+            return self.c2 * len_y
+        return self.c4
+
+
+def _code(backend, y):
+    """(L(y), coder state after y); the state is None for a backend that
+    codes whole strings only."""
+    if hasattr(backend, "initial_state"):
+        state, cost = backend.extend(backend.initial_state(), y)
+        return cost, state
+    return backend.code_len(y), None
+
+
+def _extra(backend, state_y, y, x, len_y):
+    """L(y||x) - L(y) by the sequential coder."""
+    if state_y is not None:
+        return backend.extend_cost(state_y, x)
+    return backend.code_len(y + x) - len_y
+
+
+@dataclass
+class _Coded:
+    """A transaction set as one backend sees it."""
+    lengths: list   # L(y) per transaction
+    states: list    # coder state after y per transaction, or None
+    kt: object = None  # _KTCounts, built by the first closed-form count
+
 
 @dataclass
 class TransactionSet:
@@ -60,8 +118,14 @@ class TransactionSet:
 
     def __post_init__(self):
         for i, y in enumerate(self.items):
+            if not isinstance(y, str):
+                raise ValueError(f"transaction {i} is a {type(y).__name__}, not a bit string")
             if len(y) < 1:
                 raise ValueError(f"transaction {i} is empty; length >= 1 required")
+            bad = y.strip("01")
+            if bad:
+                raise ValueError(
+                    f"transaction {i} holds {bad[0]!r}; only '0' and '1' are bits")
 
     def __len__(self):
         return len(self.items)
@@ -69,73 +133,228 @@ class TransactionSet:
     def __iter__(self):
         return iter(self.items)
 
-    def cached(self, backend):
-        """List of (L(y), coder state after y or None) per transaction."""
-        key = id(backend)
-        entry = self._cache.get(key)
+    def cached(self, backend) -> _Coded:
+        """L(y) and the coder state after y of every transaction, computed
+        once per backend value (``backend.key``)."""
+        entry = self._cache.get(backend.key)
         if entry is None:
-            entry = []
-            incremental = hasattr(backend, "initial_state")
-            for y in self.items:
-                if incremental:
-                    state, cost = backend.extend(backend.initial_state(), y)
-                    entry.append((cost, state))
-                else:
-                    entry.append((backend.code_len(y), None))
-            self._cache[key] = entry
+            coded = [_code(backend, y) for y in self.items]
+            entry = _Coded([c for c, _ in coded], [s for _, s in coded])
+            self._cache[backend.key] = entry
         return entry
 
     def max_code_len(self, backend) -> float:
-        return max(length for length, _ in self.cached(backend))
-
-
-def _joint_from_cache(backend, state_y, y, x, len_y=None):
-    if state_y is not None:
-        return backend.extend_cost(state_y, x)  # cost beyond L(y)
-    if len_y is None:
-        len_y = backend.code_len(y)
-    return backend.code_len(y + x) - len_y
+        return max(self.cached(backend).lengths)
 
 
 def _occurs_len(params: OccurrenceParams, len_x: float, len_y: float,
                 extra: float) -> bool:
     """Decide occurrence from L(x), L(y) and L(y||x) - L(y)."""
-    if params.variant == "scale-free":
-        return len_x <= params.c1 * len_y and extra <= params.c2 * len_y
-    return len_x <= len_y - params.c3 and extra <= params.c4
+    return (len_x <= params.entropy_bound(len_y)
+            and extra <= params.noise_bound(len_y))
+
+
+def _check_pattern(params: OccurrenceParams, x: str):
+    if len(x) < params.min_pattern_len:
+        raise ValueError(
+            f"pattern length {len(x)} below min_pattern_len {params.min_pattern_len}")
 
 
 def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     """Does pattern x occur in datum y under the given thresholds?"""
-    if len(x) < params.min_pattern_len:
-        raise ValueError(
-            f"pattern length {len(x)} below min_pattern_len {params.min_pattern_len}")
+    _check_pattern(params, x)
     if len(y) < 1:
         raise ValueError("datum must have length >= 1")
-    len_y = backend.code_len(y)
+    len_y, state_y = _code(backend, y)
     if len_y <= 0.0:
         raise PredicateError(
             f"backend reports code length {len_y} for a non-empty datum")
     len_x = backend.code_len(x)
-    extra = backend.code_len(y + x) - len_y
-    return _occurs_len(params, len_x, len_y, extra)
+    return _occurs_len(params, len_x, len_y, _extra(backend, state_y, y, x, len_y))
 
 
 def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> int:
     """Number of transactions (with multiplicity) in which x occurs."""
-    if len(x) < params.min_pattern_len:
-        raise ValueError(
-            f"pattern length {len(x)} below min_pattern_len {params.min_pattern_len}")
-    len_x = backend.code_len(x)
+    _check_pattern(params, x)
+    coded = T.cached(backend)
+    return _sequential_count(backend, T, coded, _limits(params, coded), x,
+                             backend.code_len(x))
+
+
+def _limits(params, coded):
+    """(largest L(x), largest L(y||x) - L(y)) that occur, per transaction."""
+    for i, len_y in enumerate(coded.lengths):
+        if len_y <= 0.0:
+            raise PredicateError(f"transaction {i}: backend reports code "
+                                 f"length {len_y} for a non-empty datum")
+    return [(params.entropy_bound(len_y), params.noise_bound(len_y))
+            for len_y in coded.lengths]
+
+
+def _sequential_count(backend, T, coded, limits, x, len_x):
+    """The definitional count: the sequential coder on every transaction
+    where x passes entropy reduction."""
     count = 0
-    for i, (y, (len_y, state_y)) in enumerate(zip(T.items, T.cached(backend))):
+    for i, (y, len_y, state_y, (max_len_x, max_extra)) in enumerate(
+            zip(T.items, coded.lengths, coded.states, limits)):
+        if len_x > max_len_x:
+            continue
         try:
-            if len_y <= 0.0:
-                raise PredicateError(
-                    f"backend reports code length {len_y} for a non-empty datum")
-            extra = _joint_from_cache(backend, state_y, y, x, len_y)
-        except (PredicateError, EstimationError) as exc:
-            raise type(exc)(f"transaction {i}: {exc}") from exc
-        if _occurs_len(params, len_x, len_y, extra):
+            extra = _extra(backend, state_y, y, x, len_y)
+        except EstimationError as exc:
+            raise EstimationError(f"transaction {i}: {exc}") from exc
+        if extra <= max_extra:
             count += 1
     return count
+
+
+def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
+            code_len=None, threads: int = 1) -> dict:
+    """Support of every candidate in T, as {x: count}; each count equals
+    ``frequency(backend, params, T, x)``.
+
+    Candidates are grouped by backend signature (strings with equal
+    signatures cost the same after any coder state, hence have identical
+    support) and each group is counted once.  ``code_len`` maps x to L(x)
+    (default ``backend.code_len``), so a caller can share a memo.  The KT
+    backend is counted in closed form; other backends take the sequential
+    path, whose groups ``threads`` worker threads may share.  Counts do not
+    depend on grouping or thread count.
+    """
+    code_len = backend.code_len if code_len is None else code_len
+    groups: dict = {}
+    for x in candidates:
+        _check_pattern(params, x)
+        sig = backend.signature(x)
+        groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
+    members = list(groups.values())
+    lens = [code_len(xs[0]) for xs in members]
+    coded = T.cached(backend)
+
+    results = None
+    if isinstance(backend, KTBackend) and members and len(T):
+        results = _kt_support(backend, params, coded, list(groups), members, lens)
+    if results is None:
+        limits = _limits(params, coded)
+
+        def count_one(i):
+            return _sequential_count(backend, T, coded, limits, members[i][0], lens[i])
+
+        if threads > 1 and len(members) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(count_one, range(len(members))))
+        else:
+            results = [count_one(i) for i in range(len(members))]
+    return {x: int(n) for xs, n in zip(members, results) for x in xs}
+
+
+@dataclass
+class _KTCounts:
+    """Per-context counts of every transaction, laid out for the kernel."""
+    rows: dict      # context -> row; the extra last row is all zero
+    max_count: int  # largest count total n = c0 + c1 of any row
+    blocks: list    # (tail, transaction indices, zeros, ones, base) per tail
+
+
+def _kt_counts(coded: _Coded):
+    """The count tables of a KT-coded set, or None when they exceed
+    ``_KT_TABLE_MAX`` elements."""
+    if coded.kt is None:
+        rows: dict = {}
+        for state in coded.states:
+            for ctx in state.counts:
+                rows.setdefault(ctx, len(rows))
+        if (len(rows) + 1) * len(coded.states) > _KT_TABLE_MAX:
+            return None
+        zeros = np.zeros((len(rows) + 1, len(coded.states)), dtype=np.intp)
+        ones = np.zeros_like(zeros)
+        tails: dict = {}
+        for t, state in enumerate(coded.states):
+            for ctx, (c0, c1) in state.counts.items():
+                zeros[rows[ctx], t], ones[rows[ctx], t] = c0, c1
+            tails.setdefault(state.context, []).append(t)
+        max_count = int((zeros + ones).max())
+        A, B = kt_log_tables(1 << max_count.bit_length())
+        blocks = []
+        for tail, idx in tails.items():
+            z, o = zeros[:, idx], ones[:, idx]
+            # the cost terms at y's own counts: B[n] - A[c0] - A[c1]
+            blocks.append((tail, np.array(idx), z, o, B[z + o] - A[z] - A[o]))
+        coded.kt = _KTCounts(rows, max_count, blocks)
+    return coded.kt
+
+
+def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
+    """Closed-form counts of signature groups; None when the count tables
+    would be too large.
+
+    The extra cost of x after y is a sum over contexts of the KT block cost
+    of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
+    bits after x's first ``order`` come from the signature; those of the
+    first bits depend on y's tail context, so transactions are taken one
+    tail at a time.
+    """
+    kt = _kt_counts(coded)
+    if kt is None:
+        return None
+    lengths = np.asarray(coded.lengths)
+    max_x = max(len(xs[0]) for xs in members)
+    top = kt.max_count + max_x
+    A, B = kt_log_tables(1 << top.bit_length())
+    zero_row = len(kt.rows)
+    # A group touches at most this many contexts.  Every table entry is
+    # within an ulp of exact, so the closed form's rounding (per_group
+    # entries) and the sequential coder's (max_x steps) are bounded in
+    # units of the largest entry a pair can read.
+    per_group = min(max_x, 2 ** (backend.order + 1) - 1)
+    tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
+
+    heads: dict = {}  # (tail, head) -> increments of the head bits
+    len_x = np.asarray(lens)
+    counts = np.zeros(len(members), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMENTS // (per_group * len(coded.states)))
+    for lo in range(0, len(members), step):
+        hi = min(lo + step, len(members))
+        # Increments of the bits after the head, per group of the chunk.
+        body = []
+        for _, pairs in sigs[lo:hi]:
+            inc: dict = {}
+            for (ctx, bit), n in pairs:
+                c0, c1 = inc.get(ctx, (0, 0))
+                inc[ctx] = (c0, c1 + n) if bit == "1" else (c0 + n, c1)
+            body.append(inc)
+        for tail, idx, zeros, ones, base in kt.blocks:
+            rows, d0, d1, starts = [], [], [], []
+            for g in range(lo, hi):
+                head = sigs[g][0]
+                hinc = heads.get((tail, head))
+                if hinc is None:
+                    hinc = backend.extend(KTState(tail, {}), head)[0].counts
+                    heads[(tail, head)] = hinc
+                inc = body[g - lo]
+                if hinc:
+                    inc = dict(inc)
+                    for ctx, (h0, h1) in hinc.items():
+                        c0, c1 = inc.get(ctx, (0, 0))
+                        inc[ctx] = (c0 + h0, c1 + h1)
+                starts.append(len(rows))
+                for ctx, (c0, c1) in inc.items():
+                    rows.append(kt.rows.get(ctx, zero_row))
+                    d0.append(c0)
+                    d1.append(c1)
+            rows = np.array(rows)
+            d0 = np.array(d0)[:, None]
+            d1 = np.array(d1)[:, None]
+            c0, c1 = zeros[rows], ones[rows]
+            cost = B[c0 + c1 + d0 + d1] - A[c0 + d0] - A[c1 + d1] - base[rows]
+            extra = np.add.reduceat(cost, starts, axis=0)
+            len_y = lengths[idx]
+            passes = len_x[lo:hi, None] <= params.entropy_bound(len_y)
+            gap = extra - params.noise_bound(len_y)
+            ok = passes & (gap <= 0)
+            for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
+                j = idx[t]
+                extra_seq = backend.extend_cost(coded.states[j], members[lo + g][0])
+                ok[g, t] = _occurs_len(params, lens[lo + g], coded.lengths[j], extra_seq)
+            counts[lo:hi] += ok.sum(axis=1)
+    return counts

@@ -1,16 +1,23 @@
 """Brute-force ground truth for the frequent pattern set.
 
-Enumerates every bit string up to a length cap and computes its support
-definitionally, with no pruning.  Only meant for desk-scale verification of
-the level-wise miner.
+Enumerates every bit string up to a length cap and computes its support,
+with no pruning.  Only meant for desk-scale verification of the level-wise
+miner's search.  Supports come from the same ``occurrence.support`` kernel
+the miner uses; that kernel is checked against the sequential
+``occurrence.frequency`` in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import bits as bitutil
-from .occurrence import OccurrenceParams, TransactionSet, _joint_from_cache, _occurs_len
+from .occurrence import OccurrenceParams, TransactionSet, support
+
+# Strings of one length class counted per support call; bounds memory.
+_CHUNK = 2048
 
 
 class IncompleteEnumerationError(Exception):
@@ -39,38 +46,21 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     """
     if len(T) < 1:
         raise ValueError("transaction set must be non-empty")
-    cache = T.cached(backend)
-    max_len_y = T.max_code_len(backend)
-    if params.variant == "scale-free":
-        occur_bound = params.c1 * max_len_y
-    else:
-        occur_bound = max_len_y - params.c3
+    occur_bound = params.entropy_bound(T.max_code_len(backend))
 
     result = {}
-    sig_counts: dict = {}
     termination_covered = False
     for length in range(max(1, params.min_pattern_len), config.max_len + 1):
-        min_code_len = None
-        for x in bitutil.all_of_length(length):
-            len_x = backend.code_len(x)
-            if min_code_len is None or len_x < min_code_len:
-                min_code_len = len_x
-            if len_x > occur_bound:
-                continue  # occurs in no transaction; support is 0
-            sig = backend.signature(x)
-            key = sig if sig is not None else ("raw", x)
-            count = sig_counts.get(key)
-            if count is None:
-                count = 0
-                for y, (len_y, state_y) in zip(T.items, cache):
-                    extra = _joint_from_cache(backend, state_y, y, x, len_y)
-                    if _occurs_len(params, len_x, len_y, extra):
-                        count += 1
-                sig_counts[key] = count
-            if count >= epsilon:
-                result[x] = count
-        sig_counts.clear()  # signatures are only shared within a length class
-        if min_code_len is not None and min_code_len > occur_bound:
+        min_code_len = math.inf
+        strings = bitutil.all_of_length(length)
+        while chunk := list(islice(strings, _CHUNK)):
+            lengths = {x: backend.code_len(x) for x in chunk}
+            min_code_len = min(min_code_len, *lengths.values())
+            # a string above the bound occurs in no transaction; support 0
+            kept = [x for x in chunk if lengths[x] <= occur_bound]
+            counts = support(backend, params, T, kept, lengths.__getitem__)
+            result.update((x, counts[x]) for x in kept if counts[x] >= epsilon)
+        if min_code_len > occur_bound:
             termination_covered = True
             break
 

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from bitmine import (KTBackend, LZBackend, OccurrenceParams, TransactionSet,
-                     code_len, frequency, occurs)
+                     code_len, frequency, gen_random, occurs)
+
+from conftest import ktk_len_exact
 
 SCALE = OccurrenceParams(variant="scale-free", c1=0.6, c2=0.3)
 ADDITIVE = OccurrenceParams(variant="additive", c3=2.0, c4=3.0)
@@ -101,6 +103,27 @@ class TestFrequency:
     def test_rejects_empty_transaction(self):
         with pytest.raises(ValueError):
             TransactionSet(["010", ""])
+
+
+class TestTransactionSet:
+    def test_rejects_non_bit_items(self):
+        with pytest.raises(ValueError, match="transaction 1 holds 'x'"):
+            TransactionSet(["0110", "01x2"])
+        with pytest.raises(ValueError, match="transaction 0"):
+            TransactionSet([101])
+
+    def test_items_stay_a_list(self):
+        assert TransactionSet(["01", "10"]).items == ["01", "10"]
+
+    def test_cache_is_keyed_by_backend_value(self):
+        # A cache keyed by id(backend) served the order-0 lengths to an
+        # order-3 backend that reused the freed object's id.
+        T = gen_random(4, (30, 30), 11)
+        assert T.max_code_len(KTBackend(0)) == pytest.approx(
+            max(ktk_len_exact(y, 0) for y in T.items))
+        assert T.max_code_len(KTBackend(3)) == pytest.approx(
+            max(ktk_len_exact(y, 3) for y in T.items))
+        assert T.cached(KTBackend(2)) is T.cached(KTBackend(2))
 
 
 class TestAntiMonotonicity:

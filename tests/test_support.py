@@ -1,0 +1,117 @@
+"""The batched support kernel against the sequential, definitional count.
+
+``frequency`` and ``occurs`` code every (pattern, transaction) pair with the
+sequential coder.  ``support`` counts KT candidates in closed form and must
+reach the same decisions, also at the non-strict threshold boundaries.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bitmine import (KTBackend, LZBackend, MiningConfig, OccurrenceParams,
+                     OracleConfig, TransactionSet, enumerate_frequent,
+                     frequency, gen_random, mine, occurs, support)
+from bitmine import occurrence
+
+BACKENDS = [KTBackend(0), KTBackend(1), KTBackend(2), KTBackend(3), LZBackend()]
+
+
+def bit_strings(lo, hi):
+    return st.text(alphabet="01", min_size=lo, max_size=hi)
+
+
+params_strategy = st.one_of(
+    st.builds(OccurrenceParams, variant=st.just("scale-free"),
+              c1=st.floats(0.05, 0.95), c2=st.floats(0.05, 0.95)),
+    st.builds(OccurrenceParams, variant=st.just("additive"),
+              c3=st.floats(0.1, 12.0), c4=st.floats(0.1, 12.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(backend=st.sampled_from(BACKENDS), params=params_strategy,
+       items=st.lists(bit_strings(1, 24), min_size=1, max_size=8),
+       candidates=st.lists(bit_strings(1, 10), min_size=1, max_size=30))
+def test_support_equals_frequency(backend, params, items, candidates):
+    # transactions and patterns as short as one bit, below every order
+    T = TransactionSet(items)
+    expected = {x: frequency(backend, params, T, x) for x in candidates}
+    assert support(backend, params, T, candidates) == expected
+
+
+def test_count_tables_over_budget_take_the_sequential_path(monkeypatch):
+    T = gen_random(6, (12, 20), 3)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    candidates = [format(v, "06b") for v in range(64)]
+    backend = KTBackend(2)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1)
+    counts = support(backend, params, T, candidates)
+    assert T.cached(backend).kt is None  # the closed form did not run
+    assert counts == {x: frequency(backend, params, T, x) for x in candidates}
+
+
+def _boundary_pairs(backend, rng, count):
+    """(x, y, L(y), sequential L(y||x) - L(y)) for random short x, long y."""
+    pairs = []
+    for _ in range(count):
+        y = "".join(rng.choice("01") for _ in range(rng.randint(16, 40)))
+        x = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+        state, len_y = backend.extend(backend.initial_state(), y)
+        pairs.append((x, y, len_y, backend.extend_cost(state, x)))
+    return pairs
+
+
+def _check_boundary(backend, T, x, params):
+    expected = sum(occurs(backend, params, x, y) for y in T.items)
+    assert support(backend, params, T, [x])[x] == expected, (x, params)
+    return expected
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_scale_free_boundary_decided_like_occurs(order):
+    backend = KTBackend(order)
+    pairs = _boundary_pairs(backend, random.Random(900 + order), 60)
+    T = TransactionSet([y for _, y, _, _ in pairs])
+    flips = 0
+    for x, _, len_y, extra in pairs:
+        c2 = extra / len_y
+        decided = [_check_boundary(backend, T, x, OccurrenceParams(c1=0.9, c2=c))
+                   for c in (math.nextafter(c2, 0.0), c2, math.nextafter(c2, 1.0))]
+        flips += decided[0] != decided[2]
+    assert flips > 0  # the thresholds really straddle some pairs' extra cost
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_additive_boundary_decided_like_occurs(order):
+    backend = KTBackend(order)
+    pairs = _boundary_pairs(backend, random.Random(950 + order), 60)
+    T = TransactionSet([y for _, y, _, _ in pairs])
+    flips = 0
+    for x, _, _, extra in pairs:
+        decided = [_check_boundary(backend, T, x,
+                                   OccurrenceParams(variant="additive", c3=0.5, c4=c))
+                   for c in (math.nextafter(extra, 0.0), extra,
+                             math.nextafter(extra, math.inf))]
+        flips += decided[0] != decided[2]
+    assert flips > 0
+
+
+@pytest.mark.parametrize("order, params", [
+    (2, OccurrenceParams(c1=0.6, c2=0.3)),
+    (3, OccurrenceParams(c1=0.6, c2=0.3)),
+    (0, OccurrenceParams(variant="additive", c3=8.0, c4=4.0)),
+    (2, OccurrenceParams(variant="additive", c3=8.0, c4=4.0)),
+])
+def test_miner_equals_oracle(order, params):
+    # Under KT order >= 1 runs such as 0^n stay frequent at any length, so
+    # both sides stop at 12 bits: the miner after level 5 (step 2), the
+    # oracle at max_len 12.
+    backend = KTBackend(order)
+    T = gen_random(10, (16, 20), 40 + order)
+    result = mine(backend, params, T, MiningConfig(epsilon=3, step_bits=2, max_level=5))
+    assert len(result) > 10
+    assert result.as_dict() == enumerate_frequent(backend, params, T, 3,
+                                                  OracleConfig(max_len=12))
