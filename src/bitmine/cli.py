@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 
@@ -17,9 +19,9 @@ from . import textio
 from .codelength import EstimationError, make_backend
 from .datagen import DEFAULT_MOTIF, PlantSpec, gen_planted, gen_random
 from .distance import MEASURES, UndefinedDistanceError, distance_matrix
-from .miner import FrequentPattern, MiningConfig, mine
+from .miner import MAX_STEP_BITS, MAX_THREADS, FrequentPattern, MiningConfig, mine
 from .occurrence import OccurrenceParams, PredicateError, TransactionSet
-from .oracle import IncompleteEnumerationError, OracleConfig, enumerate_frequent
+from .oracle import MAX_LEN, IncompleteEnumerationError, OracleConfig, enumerate_frequent
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,20 +99,25 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="transaction file")
     p.add_argument("--epsilon", required=True,
                    help="support: absolute count (e.g. 4) or fraction (e.g. 0.3f)")
-    p.add_argument("--step-bits", type=int, default=4)
+    p.add_argument("--step-bits", type=int, default=4,
+                   help=f"bits added per level, 1..{MAX_STEP_BITS}")
     p.add_argument("--max-level", type=int, default=64)
     p.add_argument("--mode", choices=["sound", "heuristic"], default="sound")
     p.add_argument("--threads", type=int, default=1,
-                   help="threads for the pair-by-pair count of the lz and "
-                        "external backends; the kt count does not use them")
+                   help=f"threads (1..{MAX_THREADS}) for the pair-by-pair "
+                        "count of the lz and external backends; the kt count "
+                        "does not use them")
     p.add_argument("--out", default=None)
+    p.add_argument("--stats", default=None, metavar="FILE",
+                   help="write per-level search statistics as JSON")
     _add_backend_args(p)
     _add_threshold_args(p)
 
     p = sub.add_parser("oracle", help="brute-force frequent pattern enumeration")
     p.add_argument("input", help="transaction file")
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=int, default=12,
+                   help=f"longest pattern enumerated, 1..{MAX_LEN}")
     p.add_argument("--must-cover-termination", action="store_true")
     p.add_argument("--diff", default=None,
                    help="result file to compare against (patterns and counts)")
@@ -155,11 +162,11 @@ def _cmd_mine(args) -> int:
     backend = make_backend(args.backend, args.order, args.timeout)
     if args.mode == "sound" and not backend.monotone:
         raise UsageError("external backend requires --mode heuristic")
-    T = _load_transactions(args.input)
     params = _make_params(args)
     config = MiningConfig(epsilon=_parse_epsilon(args.epsilon),
                           step_bits=args.step_bits, max_level=args.max_level,
                           mode=args.mode, threads=args.threads)
+    T = _load_transactions(args.input)
     result = mine(backend, params, T, config)
     header = _backend_header(args)
     header.update(_threshold_header(args))
@@ -168,18 +175,20 @@ def _cmd_mine(args) -> int:
                   input=os.path.basename(args.input),
                   approximate=result.approximate, truncated=result.truncated)
     _write(args.out, textio.format_result(result.patterns, header))
+    if args.stats is not None:
+        _write(args.stats, json.dumps(
+            [dataclasses.asdict(level) for level in result.stats], indent=1) + "\n")
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     backend = make_backend(args.backend, args.order, args.timeout)
-    T = _load_transactions(args.input)
     params = _make_params(args)
-    eps = _parse_epsilon(args.epsilon)
-    config = MiningConfig(epsilon=eps)  # reuse epsilon resolution rules
-    found = enumerate_frequent(
-        backend, params, T, config.resolve_epsilon(len(T)),
-        OracleConfig(args.max_len, args.must_cover_termination))
+    config = MiningConfig(epsilon=_parse_epsilon(args.epsilon))  # epsilon rules
+    oracle_config = OracleConfig(args.max_len, args.must_cover_termination)
+    T = _load_transactions(args.input)
+    found = enumerate_frequent(backend, params, T, config.resolve_epsilon(len(T)),
+                               oracle_config)
 
     if args.diff is not None:
         with open(args.diff, "r", encoding="utf-8") as fh:

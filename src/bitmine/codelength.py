@@ -22,6 +22,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +66,9 @@ def kt_log_tables(size: int):
     return tables[0], tables[1]
 
 
-@dataclass(frozen=True)
-class KTState:
-    """Adaptive estimator state: recent context plus per-context bit counts."""
+class KTState(NamedTuple):
+    """Adaptive estimator state: recent context plus per-context bit counts
+    (a tuple, which is cheaper to build than a dataclass)."""
     context: str
     counts: dict  # context str -> (zeros, ones)
 
@@ -100,12 +101,18 @@ class KTBackend:
     def initial_state(self) -> KTState:
         return KTState("", {})
 
-    def extend(self, state: KTState, bits: str) -> tuple[KTState, float]:
-        """Code ``bits`` after ``state`` without mutating it; return (state', cost)."""
+    def extend(self, state: KTState, bits: str,
+               cost: float = 0.0) -> tuple[KTState, float]:
+        """Code ``bits`` after ``state`` without mutating it; return
+        (state', cost + the cost of ``bits``).
+
+        Passing the code length of the string coded so far as ``cost``
+        continues its running float sum, so the result is bit-identical to
+        coding the whole string from the initial state.
+        """
         order = self.order
         ctx = state.context
         counts = dict(state.counts)
-        cost = 0.0
         for ch in bits:
             b = ch == "1"
             c0, c1 = counts.get(ctx, (0, 0))
@@ -122,22 +129,34 @@ class KTBackend:
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)
 
-    def signature(self, x: str):
+    def signature(self, x: str, state: KTState | None = None):
         """Hashable key with the property that two strings with equal
         signatures cost the same after *any* fixed coder state.
 
         The cost of a string after a state splits per context into
         exchangeable add-1/2 products, so it depends only on the first
-        ``order`` bits (whose contexts straddle the boundary) and on the
-        multiset of (context, bit) pairs in the remainder.
+        ``order`` bits (the head, whose contexts straddle the boundary) and
+        on the counts (zeros, ones) of the remaining bits per context.  The
+        key is (head, ((context, (zeros, ones)), ...)) sorted by context,
+        with the counts of x coded from the initial state: contexts shorter
+        than ``order`` occur only within the head, so keeping them adds
+        nothing the head does not fix.
+
+        ``state``, when given, must be the coder state after x from the
+        initial state; its counts are the key's, so x is not scanned again.
         """
         k = self.order
-        head = x[:k]
-        pairs: dict = {}
-        for i in range(k, len(x)):
-            key = (x[i - k:i] if k else "", x[i])
-            pairs[key] = pairs.get(key, 0) + 1
-        return (head, tuple(sorted(pairs.items())))
+        if state is None:
+            # each context shorter than k occurs once, within the head
+            counts = {x[:i]: (0, 1) if x[i] == "1" else (1, 0)
+                      for i in range(min(k, len(x)))}
+            for i in range(k, len(x)):
+                ctx = x[i - k:i]
+                c0, c1 = counts.get(ctx, (0, 0))
+                counts[ctx] = (c0, c1 + 1) if x[i] == "1" else (c0 + 1, c1)
+        else:
+            counts = state.counts
+        return (x[:k], tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)
@@ -167,19 +186,22 @@ class LZBackend:
 
     kind = "lz"
     monotone = True
-    order = None
 
     def __repr__(self):
         return "LZBackend()"
 
     @property
     def key(self):
-        return (self.kind, self.order)
+        return (self.kind,)
 
     def initial_state(self) -> LZState:
         return LZState({}, 1, 0, 0)
 
-    def extend(self, state: LZState, bits: str) -> tuple[LZState, float]:
+    def extend(self, state: LZState, bits: str,
+               cost: float = 0.0) -> tuple[LZState, float]:
+        """Parse ``bits`` after ``state`` without mutating it; return
+        (state', cost + the cost of ``bits``).  Costs are integer-valued, so
+        continuing a running ``cost`` is exact."""
         trie = dict(state.trie)
         nxt, node, complete = state.next_node, state.node, state.complete
         before = state.phrases
@@ -193,7 +215,7 @@ class LZBackend:
                 complete += 1
                 node = 0
         new = LZState(trie, nxt, node, complete)
-        return new, _lz_cum_cost(new.phrases) - _lz_cum_cost(before)
+        return new, cost + (_lz_cum_cost(new.phrases) - _lz_cum_cost(before))
 
     def extend_cost(self, state: LZState, bits: str) -> float:
         return self.extend(state, bits)[1]
@@ -201,7 +223,7 @@ class LZBackend:
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)
 
-    def signature(self, x: str):
+    def signature(self, x: str, state: LZState | None = None):
         return None  # parse cost after a state depends on the whole string
 
 
@@ -216,7 +238,6 @@ class ExternalBackend:
 
     kind = "external"
     monotone = False
-    order = None
 
     def __init__(self, command: str, timeout: float = 10.0):
         if not command.strip():

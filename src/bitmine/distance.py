@@ -25,6 +25,8 @@ from . import bits as bitutil
 from .codelength import cond_code_len, joint_code_len_canonical
 
 MEASURES = ("nid", "ncd", "info")
+# Budget cap of kraft_diagnostic, which evaluates 2**neighborhood_len distances.
+MAX_NEIGHBORHOOD_LEN = 16
 
 
 class UndefinedDistanceError(Exception):
@@ -137,8 +139,12 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
     """Sum of 2**(-d(x, y)) over all y != x of a given length.
 
     A normalized metric would keep this at most 1; approximations need not.
-    Exponential in neighborhood_len, so keep it small.
+    Exponential in neighborhood_len, which must be in
+    0..``MAX_NEIGHBORHOOD_LEN``.
     """
+    if not 0 <= neighborhood_len <= MAX_NEIGHBORHOOD_LEN:
+        raise ValueError(
+            f"neighborhood_len must be in 0..{MAX_NEIGHBORHOOD_LEN}")
     fn = _MEASURE_FN[measure]
     total = 0.0
     for y in bitutil.all_of_length(neighborhood_len):

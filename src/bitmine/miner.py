@@ -3,7 +3,9 @@
 Seeds with every frequent pattern of length 1..n, then repeatedly extends
 the surviving patterns by exactly n bits, counts candidate occurrences in a
 single pass over the transaction set, and prunes candidates below the
-support threshold.  Infrequent patterns are never extended; with a monotone
+support threshold.  A candidate is coded by extending its parent's coder
+state by its n new bits, so the miner keeps one coder state per surviving
+pattern.  Infrequent patterns are never extended; with a monotone
 backend this pruning is exact (extensions of non-occurring patterns cannot
 occur), so the result equals the full frequent set.
 
@@ -14,13 +16,19 @@ mode, where the output is flagged approximate.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bits as bitutil
 from .occurrence import OccurrenceParams, TransactionSet, support
 
 MODES = ("sound", "heuristic")
+# Budget caps.  Every frontier pattern has 2**step_bits children, and the
+# seed level enumerates all 2**(step_bits + 1) - 2 strings up to step_bits.
+MAX_STEP_BITS = 16
+# The sequential (LZ, external) count runs at most this many threads.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -43,14 +51,14 @@ class MiningConfig:
             raise ValueError("absolute epsilon must be >= 1")
         if isinstance(self.epsilon, float) and not (0.0 < self.epsilon <= 1.0):
             raise ValueError("fractional epsilon must be in (0, 1]")
-        if self.step_bits < 1:
-            raise ValueError("step_bits must be >= 1")
+        if not 1 <= self.step_bits <= MAX_STEP_BITS:
+            raise ValueError(f"step_bits must be in 1..{MAX_STEP_BITS}")
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be in 1..{MAX_THREADS}")
 
     def resolve_epsilon(self, n_transactions: int) -> int:
         if isinstance(self.epsilon, int):
@@ -66,12 +74,25 @@ class FrequentPattern:
     level: int
 
 
+@dataclass(frozen=True)
+class LevelStats:
+    """What one level of the search did; level 0 is the seed level."""
+    level: int
+    candidates: int  # generated
+    kept: int        # left after the entropy-reduction prefilter
+    groups: int      # signature groups counted
+    pairs: int       # (group, transaction) pairs whose extra cost was evaluated
+    frequent: int
+    seconds: float   # wall time of the whole level
+
+
 @dataclass
 class MiningResult:
     patterns: list  # FrequentPattern, sorted by (level, pattern)
     truncated: bool = False
     approximate: bool = False
     levels: int = 0
+    stats: list = field(default_factory=list)  # LevelStats per level run
 
     def as_dict(self) -> dict:
         return {p.pattern: p.count for p in self.patterns}
@@ -83,10 +104,11 @@ class MiningResult:
         return len(self.patterns)
 
 
-def _count_pass(backend, params, T, candidates, threads=1, code_len=None):
+def _count_pass(backend, params, T, candidates, threads=1, code_len=None,
+                signature=None):
     """Exact support count for every candidate in one pass over T (see
     ``occurrence.support``)."""
-    return support(backend, params, T, candidates, code_len, threads)
+    return support(backend, params, T, candidates, code_len, threads, signature)
 
 
 def _prefilter(backend, params, candidates, max_len_y, code_len):
@@ -97,36 +119,85 @@ def _prefilter(backend, params, candidates, max_len_y, code_len):
     return [x for x in candidates if code_len(x) <= bound]
 
 
-def _memo(backend):
-    """``backend.code_len`` memoized, for the candidates of one level."""
-    lengths: dict = {}
+def _split(x, step_bits):
+    """(parent, suffix) of a candidate: the suffix is its last ``step_bits``
+    bits, or all of a seed-level candidate, whose parent is empty."""
+    cut = max(0, len(x) - step_bits)
+    return x[:cut], x[cut:]
 
-    def code_len(x):
-        length = lengths.get(x)
-        if length is None:
-            length = lengths[x] = backend.code_len(x)
-        return length
 
-    return code_len
+def _code_candidates(backend, candidates, parents, step_bits):
+    """{x: (L(x), signature of x)} for every candidate.
+
+    ``parents`` maps each pattern of the frontier to (its coder state, its
+    L).  A candidate is coded from its parent's state, continuing the
+    parent's running sum, so L(x) is bit-identical to
+    ``backend.code_len(x)``; a KT signature is read off the child's state,
+    which is then dropped.  With ``parents`` None (a backend without coder
+    states) every candidate is coded from scratch.  Equal signatures share
+    one object.
+    """
+    coded, interned = {}, {}
+    for x in candidates:
+        if parents is None:
+            length, sig = backend.code_len(x), backend.signature(x)
+        else:
+            parent, suffix = _split(x, step_bits)
+            state, length = parents[parent]
+            state, length = backend.extend(state, suffix, cost=length)
+            sig = backend.signature(x, state)
+        coded[x] = (length, interned.setdefault(sig, sig))
+    return coded
+
+
+def _run_level(backend, params, T, config, candidates, parents, level, start):
+    """Code, prefilter and count one level's candidates.
+
+    Returns the frequent patterns, the frontier for the next level
+    ({pattern: (coder state, L)}, or None without coder states) and the
+    level's ``LevelStats``.  Only the frequent patterns' states are built
+    and kept, so memory follows the frontier, not the candidates.
+    """
+    coded = _code_candidates(backend, candidates, parents, config.step_bits)
+    kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
+                      lambda x: coded[x][0])
+    counts = _count_pass(backend, params, T, kept, config.threads,
+                         lambda x: coded[x][0], lambda x: coded[x][1])
+    eps = config.resolve_epsilon(len(T))
+    frequent = [FrequentPattern(x, c, coded[x][0], level)
+                for x, c in sorted(counts.items()) if c >= eps]
+    frontier = None
+    if parents is not None:
+        frontier = {}
+        for p in frequent:
+            parent, suffix = _split(p.pattern, config.step_bits)
+            state = backend.extend(parents[parent][0], suffix)[0]
+            frontier[p.pattern] = (state, p.code_len)
+    stats = LevelStats(level, len(candidates), len(kept), counts.groups,
+                       counts.pairs, len(frequent), time.perf_counter() - start)
+    return frequent, frontier, stats
+
+
+def _seed(backend, params, T, config):
+    """``seed_level0`` plus the seed frontier and the level's stats."""
+    start = time.perf_counter()
+    if len(T) < 1:
+        raise ValueError("transaction set must be non-empty")
+    if config.resolve_epsilon(len(T)) > len(T):
+        return [], None, None
+    candidates = []
+    for length in range(max(1, params.min_pattern_len), config.step_bits + 1):
+        candidates.extend(bitutil.all_of_length(length))
+    root = None
+    if hasattr(backend, "initial_state"):
+        root = {"": (backend.initial_state(), 0.0)}
+    return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 
 def seed_level0(backend, params: OccurrenceParams, T: TransactionSet,
                 config: MiningConfig):
     """All frequent patterns of length 1..step_bits, with exact counts."""
-    if len(T) < 1:
-        raise ValueError("transaction set must be non-empty")
-    eps = config.resolve_epsilon(len(T))
-    if eps > len(T):
-        return []
-    code_len = _memo(backend)
-    candidates = []
-    for length in range(max(1, params.min_pattern_len), config.step_bits + 1):
-        candidates.extend(bitutil.all_of_length(length))
-    candidates = _prefilter(backend, params, candidates, T.max_code_len(backend),
-                            code_len)
-    counts = _count_pass(backend, params, T, candidates, config.threads, code_len)
-    return [FrequentPattern(x, c, code_len(x), 0)
-            for x, c in sorted(counts.items()) if c >= eps]
+    return _seed(backend, params, T, config)[0]
 
 
 def generate(prev_patterns, step_bits: int):
@@ -151,26 +222,23 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
         warnings.warn("heuristic mode: pruning is best-effort, result may be "
                       "incomplete", stacklevel=2)
 
-    eps = config.resolve_epsilon(len(T))
-    found = list(seed_level0(backend, params, T, config))
-    frontier = found
+    frequent, frontier, seed_stats = _seed(backend, params, T, config)
+    found = list(frequent)
+    stats = [seed_stats] if seed_stats else []
     truncated = False
     level = 0
-    max_len_y = T.max_code_len(backend)
-    while frontier:
+    while frequent:
         if level >= config.max_level:
             truncated = True
             break
         level += 1
-        candidates = generate(frontier, config.step_bits)
-        code_len = _memo(backend)  # a level's candidates are all new strings
-        candidates = _prefilter(backend, params, candidates, max_len_y, code_len)
-        counts = _count_pass(backend, params, T, candidates, config.threads,
-                             code_len)
-        frontier = [FrequentPattern(x, c, code_len(x), level)
-                    for x, c in sorted(counts.items()) if c >= eps]
-        found.extend(frontier)
+        start = time.perf_counter()
+        candidates = generate(frequent, config.step_bits)
+        frequent, frontier, level_stats = _run_level(
+            backend, params, T, config, candidates, frontier, level, start)
+        found.extend(frequent)
+        stats.append(level_stats)
 
     found.sort(key=lambda p: (p.level, p.pattern))
     return MiningResult(found, truncated=truncated, approximate=approximate,
-                        levels=level)
+                        levels=level, stats=stats)

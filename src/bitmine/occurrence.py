@@ -33,8 +33,8 @@ VARIANTS = ("scale-free", "additive")
 # A closed-form extra cost this close to the noise threshold (plus the
 # tables' own rounding bound) is re-decided by the sequential coder.
 REDECIDE_TOL = 1e-9
-# Elements (context entries x transactions) of one block of the KT kernel;
-# bounds the kernel's working memory.
+# Elements (groups x contexts x transactions) of one chunk of the KT
+# kernel; bounds the kernel's working memory.
 _BLOCK_ELEMENTS = 1 << 13
 # Largest (contexts x transactions) count table the KT kernel builds; a
 # larger transaction set is counted by the sequential path.
@@ -99,9 +99,22 @@ def _extra(backend, state_y, y, x, len_y):
 @dataclass
 class _Coded:
     """A transaction set as one backend sees it."""
+    items: tuple    # the transactions these entries were computed from
     lengths: list   # L(y) per transaction
     states: list    # coder state after y per transaction, or None
     kt: object = None  # _KTCounts, built by the first closed-form count
+
+
+def _check_items(items):
+    for i, y in enumerate(items):
+        if not isinstance(y, str):
+            raise ValueError(f"transaction {i} is a {type(y).__name__}, not a bit string")
+        if len(y) < 1:
+            raise ValueError(f"transaction {i} is empty; length >= 1 required")
+        bad = y.strip("01")
+        if bad:
+            raise ValueError(
+                f"transaction {i} holds {bad[0]!r}; only '0' and '1' are bits")
 
 
 @dataclass
@@ -117,15 +130,7 @@ class TransactionSet:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, y in enumerate(self.items):
-            if not isinstance(y, str):
-                raise ValueError(f"transaction {i} is a {type(y).__name__}, not a bit string")
-            if len(y) < 1:
-                raise ValueError(f"transaction {i} is empty; length >= 1 required")
-            bad = y.strip("01")
-            if bad:
-                raise ValueError(
-                    f"transaction {i} holds {bad[0]!r}; only '0' and '1' are bits")
+        _check_items(self.items)
 
     def __len__(self):
         return len(self.items)
@@ -135,11 +140,14 @@ class TransactionSet:
 
     def cached(self, backend) -> _Coded:
         """L(y) and the coder state after y of every transaction, computed
-        once per backend value (``backend.key``)."""
+        once per backend value (``backend.key``) and again whenever
+        ``items`` has changed since."""
+        items = tuple(self.items)
         entry = self._cache.get(backend.key)
-        if entry is None:
-            coded = [_code(backend, y) for y in self.items]
-            entry = _Coded([c for c, _ in coded], [s for _, s in coded])
+        if entry is None or entry.items != items:
+            _check_items(items)
+            coded = [_code(backend, y) for y in items]
+            entry = _Coded(items, [c for c, _ in coded], [s for _, s in coded])
             self._cache[backend.key] = entry
         return entry
 
@@ -177,7 +185,7 @@ def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> i
     """Number of transactions (with multiplicity) in which x occurs."""
     _check_pattern(params, x)
     coded = T.cached(backend)
-    return _sequential_count(backend, T, coded, _limits(params, coded), x,
+    return _sequential_count(backend, coded, _limits(params, coded), x,
                              backend.code_len(x))
 
 
@@ -191,12 +199,12 @@ def _limits(params, coded):
             for len_y in coded.lengths]
 
 
-def _sequential_count(backend, T, coded, limits, x, len_x):
+def _sequential_count(backend, coded, limits, x, len_x):
     """The definitional count: the sequential coder on every transaction
     where x passes entropy reduction."""
     count = 0
     for i, (y, len_y, state_y, (max_len_x, max_extra)) in enumerate(
-            zip(T.items, coded.lengths, coded.states, limits)):
+            zip(coded.items, coded.lengths, coded.states, limits)):
         if len_x > max_len_x:
             continue
         try:
@@ -208,52 +216,74 @@ def _sequential_count(backend, T, coded, limits, x, len_x):
     return count
 
 
+class Support(dict):
+    """{x: support count} as returned by ``support``, with the work done:
+    ``groups`` signature groups were counted, over ``pairs``
+    (group, transaction) pairs whose extra cost was evaluated."""
+    groups = 0
+    pairs = 0
+
+
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
-            code_len=None, threads: int = 1) -> dict:
+            code_len=None, threads: int = 1, signature=None) -> Support:
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
     Candidates are grouped by backend signature (strings with equal
     signatures cost the same after any coder state, hence have identical
-    support) and each group is counted once.  ``code_len`` maps x to L(x)
-    (default ``backend.code_len``), so a caller can share a memo.  The KT
-    backend is counted in closed form; other backends take the sequential
-    path, whose groups ``threads`` worker threads may share.  Counts do not
-    depend on grouping or thread count.
+    support) and each group is counted once.  ``code_len`` and
+    ``signature`` map x to L(x) and to its signature (defaults
+    ``backend.code_len`` and ``backend.signature``), so a caller that
+    already has them passes them in.  The KT backend is counted in closed
+    form; other backends take the sequential path, whose groups ``threads``
+    worker threads may share.  Counts do not depend on grouping or thread
+    count.
     """
     code_len = backend.code_len if code_len is None else code_len
+    signature = backend.signature if signature is None else signature
     groups: dict = {}
     for x in candidates:
         _check_pattern(params, x)
-        sig = backend.signature(x)
+        sig = signature(x)
         groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
     members = list(groups.values())
     lens = [code_len(xs[0]) for xs in members]
     coded = T.cached(backend)
 
-    results = None
-    if isinstance(backend, KTBackend) and members and len(T):
-        results = _kt_support(backend, params, coded, list(groups), members, lens)
-    if results is None:
+    counts = None
+    if isinstance(backend, KTBackend) and members and len(coded.items):
+        counts = _kt_support(backend, params, coded, list(groups), members, lens)
+    if counts is not None:
+        pairs = len(members) * len(coded.items)
+    else:
         limits = _limits(params, coded)
 
         def count_one(i):
-            return _sequential_count(backend, T, coded, limits, members[i][0], lens[i])
+            return _sequential_count(backend, coded, limits, members[i][0], lens[i])
 
         if threads > 1 and len(members) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(count_one, range(len(members))))
+                counts = list(pool.map(count_one, range(len(members))))
         else:
-            results = [count_one(i) for i in range(len(members))]
-    return {x: int(n) for xs, n in zip(members, results) for x in xs}
+            counts = [count_one(i) for i in range(len(members))]
+        # the pairs coded: those where L(x) passes entropy reduction
+        bounds = np.sort([max_len_x for max_len_x, _ in limits])
+        pairs = int(len(bounds) * len(lens) - np.searchsorted(bounds, lens).sum())
+    result = Support((x, int(n)) for xs, n in zip(members, counts) for x in xs)
+    result.groups, result.pairs = len(members), pairs
+    return result
 
 
 @dataclass
 class _KTCounts:
     """Per-context counts of every transaction, laid out for the kernel."""
-    rows: dict      # context -> row; the extra last row is all zero
-    max_count: int  # largest count total n = c0 + c1 of any row
-    blocks: list    # (tail, transaction indices, zeros, ones, base) per tail
+    rows: dict        # context -> row; the extra last row is all zero
+    max_count: int    # largest count total n = c0 + c1 of any row
+    zeros: np.ndarray  # (rows + 1) x transactions
+    ones: np.ndarray
+    base: np.ndarray  # cost terms at y's own counts: B[n] - A[c0] - A[c1]
+    tails: list       # distinct tail contexts (coder context after y)
+    tail_of: np.ndarray  # index into tails, per transaction
 
 
 def _kt_counts(coded: _Coded):
@@ -269,18 +299,16 @@ def _kt_counts(coded: _Coded):
         zeros = np.zeros((len(rows) + 1, len(coded.states)), dtype=np.intp)
         ones = np.zeros_like(zeros)
         tails: dict = {}
+        tail_of = []
         for t, state in enumerate(coded.states):
             for ctx, (c0, c1) in state.counts.items():
                 zeros[rows[ctx], t], ones[rows[ctx], t] = c0, c1
-            tails.setdefault(state.context, []).append(t)
+            tail_of.append(tails.setdefault(state.context, len(tails)))
         max_count = int((zeros + ones).max())
         A, B = kt_log_tables(1 << max_count.bit_length())
-        blocks = []
-        for tail, idx in tails.items():
-            z, o = zeros[:, idx], ones[:, idx]
-            # the cost terms at y's own counts: B[n] - A[c0] - A[c1]
-            blocks.append((tail, np.array(idx), z, o, B[z + o] - A[z] - A[o]))
-        coded.kt = _KTCounts(rows, max_count, blocks)
+        coded.kt = _KTCounts(rows, max_count, zeros, ones,
+                             B[zeros + ones] - A[zeros] - A[ones],
+                             list(tails), np.array(tail_of))
     return coded.kt
 
 
@@ -290,71 +318,88 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
-    bits after x's first ``order`` come from the signature; those of the
-    first bits depend on y's tail context, so transactions are taken one
-    tail at a time.
+    bits after x's first ``order`` (the head) come from the signature;
+    those of the head depend on y's tail context and come from a
+    (tail, head) table.  Each signature is parsed once; groups are then
+    evaluated in chunks whose dense groups x contexts x transactions
+    arrays hold at most ``_BLOCK_ELEMENTS`` entries (a single group may
+    exceed it).
     """
     kt = _kt_counts(coded)
     if kt is None:
         return None
     lengths = np.asarray(coded.lengths)
+    n_t = len(coded.states)
     max_x = max(len(xs[0]) for xs in members)
     top = kt.max_count + max_x
     A, B = kt_log_tables(1 << top.bit_length())
-    zero_row = len(kt.rows)
     # A group touches at most this many contexts.  Every table entry is
     # within an ulp of exact, so the closed form's rounding (per_group
     # entries) and the sequential coder's (max_x steps) are bounded in
-    # units of the largest entry a pair can read.
+    # units of the largest entry a pair can read.  A context a group does
+    # not touch costs exactly 0: it repeats the B - A - A of ``base``.
     per_group = min(max_x, 2 ** (backend.order + 1) - 1)
     tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
-    heads: dict = {}  # (tail, head) -> increments of the head bits
+    # Columns are the contexts any group touches.  A group's body holds its
+    # signature's counts in full-length contexts (shorter ones lie within
+    # the head), as columns of ``body``: (group, column, zeros, ones).  A
+    # head's increments after every tail are the columns (tail, column,
+    # zeros, ones) of its ``head_inc`` entry.
+    k = backend.order
+    cols: dict = {}
+    heads: dict = {}  # head -> index into head_inc
+    head_inc = []
+    body: tuple = ([], [], [], [])
+    group_head, starts = [], [0]
+    for g, (head, pairs) in enumerate(sigs):
+        if head not in heads:
+            heads[head] = len(head_inc)
+            inc = [(t, cols.setdefault(ctx, len(cols)), *n)
+                   for t, tail in enumerate(kt.tails)
+                   for ctx, n in backend.extend(KTState(tail, {}), head)[0].counts.items()]
+            head_inc.append(np.array(inc, dtype=np.intp).reshape(-1, 4).T)
+        group_head.append(heads[head])
+        for ctx, (c0, c1) in pairs:
+            if len(ctx) == k:
+                body[0].append(g)
+                body[1].append(cols.setdefault(ctx, len(cols)))
+                body[2].append(c0)
+                body[3].append(c1)
+        starts.append(len(body[0]))
+    body = np.array(body, dtype=np.intp)
+    group_head = np.array(group_head)
+    rows = np.array([kt.rows.get(ctx, len(kt.rows)) for ctx in cols])
+    c0, c1, base = kt.zeros[rows], kt.ones[rows], kt.base[rows]
+
     len_x = np.asarray(lens)
     counts = np.zeros(len(members), dtype=np.intp)
-    step = max(1, _BLOCK_ELEMENTS // (per_group * len(coded.states)))
-    for lo in range(0, len(members), step):
-        hi = min(lo + step, len(members))
-        # Increments of the bits after the head, per group of the chunk.
-        body = []
-        for _, pairs in sigs[lo:hi]:
-            inc: dict = {}
-            for (ctx, bit), n in pairs:
-                c0, c1 = inc.get(ctx, (0, 0))
-                inc[ctx] = (c0, c1 + n) if bit == "1" else (c0 + n, c1)
-            body.append(inc)
-        for tail, idx, zeros, ones, base in kt.blocks:
-            rows, d0, d1, starts = [], [], [], []
-            for g in range(lo, hi):
-                head = sigs[g][0]
-                hinc = heads.get((tail, head))
-                if hinc is None:
-                    hinc = backend.extend(KTState(tail, {}), head)[0].counts
-                    heads[(tail, head)] = hinc
-                inc = body[g - lo]
-                if hinc:
-                    inc = dict(inc)
-                    for ctx, (h0, h1) in hinc.items():
-                        c0, c1 = inc.get(ctx, (0, 0))
-                        inc[ctx] = (c0 + h0, c1 + h1)
-                starts.append(len(rows))
-                for ctx, (c0, c1) in inc.items():
-                    rows.append(kt.rows.get(ctx, zero_row))
-                    d0.append(c0)
-                    d1.append(c1)
-            rows = np.array(rows)
-            d0 = np.array(d0)[:, None]
-            d1 = np.array(d1)[:, None]
-            c0, c1 = zeros[rows], ones[rows]
-            cost = B[c0 + c1 + d0 + d1] - A[c0 + d0] - A[c1 + d1] - base[rows]
-            extra = np.add.reduceat(cost, starts, axis=0)
-            len_y = lengths[idx]
-            passes = len_x[lo:hi, None] <= params.entropy_bound(len_y)
-            gap = extra - params.noise_bound(len_y)
-            ok = passes & (gap <= 0)
-            for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
-                j = idx[t]
-                extra_seq = backend.extend_cost(coded.states[j], members[lo + g][0])
-                ok[g, t] = _occurs_len(params, lens[lo + g], coded.lengths[j], extra_seq)
-            counts[lo:hi] += ok.sum(axis=1)
+    step = max(1, _BLOCK_ELEMENTS // (len(cols) * n_t))
+    for lo in range(0, len(sigs), step):
+        hi = min(lo + step, len(sigs))
+        d = np.zeros((2, hi - lo, len(cols)), dtype=np.intp)
+        part = body[:, starts[lo]:starts[hi]]
+        d[:, part[0] - lo, part[1]] = part[2:]
+        # The chunk's heads after every tail, gathered per (group, transaction).
+        used, which = np.unique(group_head[lo:hi], return_inverse=True)
+        h = np.zeros((2, len(kt.tails), len(used), len(cols)), dtype=np.intp)
+        for j, i in enumerate(used):
+            tail, col, zeros, ones = head_inc[i]
+            h[0, tail, j, col], h[1, tail, j, col] = zeros, ones
+        # (bit, group, column, transaction): head plus body increments
+        inc = h[:, kt.tail_of[:, None], which[None, :]].transpose(0, 2, 3, 1)
+        inc += d[:, :, :, None]
+        d0, d1 = inc
+        cost = B[c0 + c1 + d0 + d1]
+        cost -= A[c0 + d0]
+        cost -= A[c1 + d1]
+        cost -= base
+        extra = cost.sum(axis=1)
+        passes = len_x[lo:hi, None] <= params.entropy_bound(lengths)
+        gap = extra - params.noise_bound(lengths)
+        ok = passes & (gap <= 0)
+        for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
+            extra_seq = backend.extend_cost(coded.states[t], members[lo + g][0])
+            ok[g, t] = _occurs_len(params, lens[lo + g], coded.lengths[t], extra_seq)
+        counts[lo:hi] = ok.sum(axis=1)
     return counts

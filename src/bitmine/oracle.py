@@ -18,6 +18,8 @@ from .occurrence import OccurrenceParams, TransactionSet, support
 
 # Strings of one length class counted per support call; bounds memory.
 _CHUNK = 2048
+# Budget cap: the oracle codes all 2**(max_len + 1) - 2 strings.
+MAX_LEN = 20
 
 
 class IncompleteEnumerationError(Exception):
@@ -30,8 +32,8 @@ class OracleConfig:
     must_cover_termination: bool = False
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        if not 1 <= self.max_len <= MAX_LEN:
+            raise ValueError(f"max_len must be in 1..{MAX_LEN}")
 
 
 def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,

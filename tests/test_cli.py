@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -20,6 +21,32 @@ class TestMine:
         out = tmp_path / "result.txt"
         assert main(["mine", DATASET, *MINE_FLAGS, "--out", str(out)]) == 0
         assert read(out) == read(FIXTURES / "mine7.golden.txt")
+
+    def test_stats_side_file_leaves_result_bytes(self, tmp_path):
+        out, stats = tmp_path / "result.txt", tmp_path / "stats.json"
+        assert main(["mine", DATASET, *MINE_FLAGS, "--out", str(out),
+                     "--stats", str(stats)]) == 0
+        assert read(out) == read(FIXTURES / "mine7.golden.txt")
+        levels = json.loads(read(stats))
+        records, _ = parse_result(read(out))
+        assert [r["level"] for r in levels] == list(range(len(levels)))
+        assert set(levels[0]) == {"level", "candidates", "kept", "groups",
+                                  "pairs", "frequent", "seconds"}
+        assert sum(r["frequent"] for r in levels) == len(records)
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", DATASET, *MINE_FLAGS, "--step-bits", "17"],
+        ["mine", DATASET, *MINE_FLAGS, "--threads", "65"],
+        ["oracle", DATASET, "--epsilon", "4", "--max-len", "21"],
+    ])
+    def test_over_budget_is_usage_error_before_any_work(self, argv, monkeypatch,
+                                                        capsys):
+        def refuse(path):
+            raise AssertionError("input loaded despite an over-budget request")
+
+        monkeypatch.setattr("bitmine.cli._load_transactions", refuse)
+        assert main(argv) == 1
+        assert "must be in 1.." in capsys.readouterr().err
 
     def test_threads_do_not_change_output_bytes(self, tmp_path):
         outs = []

@@ -192,3 +192,25 @@ def test_make_backend():
     assert isinstance(make_backend("external:cat"), ExternalBackend)
     with pytest.raises(ValueError):
         make_backend("zstd")
+
+
+@settings(max_examples=300, deadline=None)
+@given(backend=st.sampled_from([KTBackend(k) for k in range(5)] + [LZBackend()]),
+       a=bitstrings, b=st.text(alphabet="01", max_size=12))
+def test_extension_from_a_prefix_state_is_bit_identical(backend, a, b):
+    # The miner codes a child from its parent's state, continuing the
+    # parent's running sum; that must equal coding the child from scratch
+    # exactly, and the child's state must give the child's signature.
+    state, len_a = backend.extend(backend.initial_state(), a)
+    state, length = backend.extend(state, b, cost=len_a)
+    assert length == backend.code_len(a + b)
+    assert backend.signature(a + b, state) == backend.signature(a + b)
+
+
+def test_kt_signature_keys_counts_after_the_head():
+    kt = KTBackend(order=2)
+    # contexts "" and "0" lie within the head "01"
+    assert kt.signature("01101") == (
+        "01", (("", (1, 0)), ("0", (0, 1)), ("01", (0, 1)), ("10", (0, 1)),
+               ("11", (1, 0))))
+    assert kt.signature("0") == ("0", (("", (1, 0)),))

@@ -8,6 +8,8 @@ from bitmine import (KTBackend, TransactionSet, UndefinedDistanceError,
                      code_len, cond_code_len, distance_matrix, gen_random,
                      info_dist, kraft_diagnostic, ncd, nid_estimate,
                      triangle_violation_rate)
+from bitmine import bits as bitutil
+from bitmine.distance import MAX_NEIGHBORHOOD_LEN
 
 
 def random_bits(rng, n):
@@ -123,3 +125,12 @@ def test_triangle_violation_rate_is_a_rate(kt0):
 def test_kraft_diagnostic_runs(kt0):
     total = kraft_diagnostic(kt0, "01010101", 4, "nid")
     assert math.isfinite(total) and total > 0.0
+
+
+def test_kraft_diagnostic_refuses_an_over_budget_neighborhood(kt0, monkeypatch):
+    def refuse(n):
+        raise AssertionError("neighborhood enumerated despite the cap")
+
+    monkeypatch.setattr(bitutil, "all_of_length", refuse)
+    with pytest.raises(ValueError, match="neighborhood_len"):
+        kraft_diagnostic(kt0, "01", MAX_NEIGHBORHOOD_LEN + 1)

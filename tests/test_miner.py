@@ -3,7 +3,8 @@ import pytest
 from bitmine import (ExternalBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
                      frequency, generate, mine, seed_level0)
-from bitmine.miner import FrequentPattern
+from bitmine.miner import MAX_STEP_BITS, MAX_THREADS, FrequentPattern
+from bitmine.oracle import MAX_LEN
 
 SCALE = OccurrenceParams(c1=0.6, c2=0.3)
 
@@ -34,6 +35,16 @@ class TestConfig:
             MiningConfig(mode="fast")
         with pytest.raises(ValueError):
             MiningConfig(threads=0)
+
+    def test_budget_caps(self):
+        MiningConfig(step_bits=MAX_STEP_BITS, threads=MAX_THREADS)
+        with pytest.raises(ValueError, match="step_bits"):
+            MiningConfig(step_bits=MAX_STEP_BITS + 1)
+        with pytest.raises(ValueError, match="threads"):
+            MiningConfig(threads=MAX_THREADS + 1)
+        OracleConfig(max_len=MAX_LEN)
+        with pytest.raises(ValueError, match="max_len"):
+            OracleConfig(max_len=MAX_LEN + 1)
 
 
 class TestGenerate:
@@ -142,6 +153,27 @@ class TestMine:
         maxlen = max((len(p.pattern) for p in res), default=2)
         oracle = enumerate_frequent(lz, SCALE, T, 4, OracleConfig(max_len=maxlen + 1))
         assert res.as_dict() == oracle
+
+    @pytest.mark.parametrize("backend_name", ["kt0", "lz"])
+    def test_stats_describe_every_level(self, backend_name, request,
+                                        fixture_transactions):
+        backend = request.getfixturevalue(backend_name)
+        T = fixture_transactions
+        res = mine(backend, SCALE, T, MiningConfig(epsilon=4, step_bits=2))
+        assert [s.level for s in res.stats] == list(range(res.levels + 1))
+        assert res.stats[0].candidates == 2 + 4
+        for prev, s in zip(res.stats, res.stats[1:]):
+            assert s.candidates == 4 * prev.frequent
+        for s in res.stats:
+            assert s.frequent == sum(1 for p in res if p.level == s.level)
+            assert s.frequent <= s.kept and s.groups <= s.kept <= s.candidates
+            assert s.pairs <= s.groups * len(T)
+            assert s.seconds >= 0.0
+        if backend_name == "kt0":  # the closed form evaluates every pair
+            assert all(s.pairs == s.groups * len(T) for s in res.stats)
+            assert any(s.groups < s.kept for s in res.stats)
+        else:  # LZ has no signature groups
+            assert all(s.groups == s.kept for s in res.stats)
 
     def test_sound_mode_refuses_external_backend(self, fixture_transactions):
         backend = ExternalBackend("cat")

@@ -125,6 +125,18 @@ class TestTransactionSet:
             max(ktk_len_exact(y, 3) for y in T.items))
         assert T.cached(KTBackend(2)) is T.cached(KTBackend(2))
 
+    def test_cache_follows_changed_items(self):
+        kt0 = KTBackend(0)
+        T = TransactionSet(["0010111010001101"] * 2)
+        assert frequency(kt0, SCALE, T, "0000") == 2
+        T.items[0] = "0" * 16
+        expected = sum(occurs(kt0, SCALE, "0000", y) for y in T.items)
+        assert expected == 1
+        assert frequency(kt0, SCALE, T, "0000") == expected
+        T.items.append("01x")
+        with pytest.raises(ValueError, match="transaction 2"):
+            T.cached(kt0)
+
 
 class TestAntiMonotonicity:
     """Extensions of a non-occurring pattern do not occur (both variants)."""

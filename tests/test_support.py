@@ -53,6 +53,18 @@ def test_count_tables_over_budget_take_the_sequential_path(monkeypatch):
     assert counts == {x: frequency(backend, params, T, x) for x in candidates}
 
 
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_small_chunks_count_like_frequency(order, monkeypatch):
+    # Chunks of one or a few groups, transactions shorter than the order.
+    monkeypatch.setattr(occurrence, "_BLOCK_ELEMENTS", 60)
+    T = TransactionSet(gen_random(8, (6, 20), 7 + order).items + ["0", "10", "011"])
+    params = OccurrenceParams(c1=0.7, c2=0.4)
+    backend = KTBackend(order)
+    candidates = [format(v, f"0{n}b") for n in range(1, 8) for v in range(1 << n)]
+    assert support(backend, params, T, candidates) == {
+        x: frequency(backend, params, T, x) for x in candidates}
+
+
 def _boundary_pairs(backend, rng, count):
     """(x, y, L(y), sequential L(y||x) - L(y)) for random short x, long y."""
     pairs = []
@@ -114,4 +126,20 @@ def test_miner_equals_oracle(order, params):
     result = mine(backend, params, T, MiningConfig(epsilon=3, step_bits=2, max_level=5))
     assert len(result) > 10
     assert result.as_dict() == enumerate_frequent(backend, params, T, 3,
+                                                  OracleConfig(max_len=12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(backend=st.sampled_from(BACKENDS), params=params_strategy,
+       items=st.lists(bit_strings(6, 16), min_size=2, max_size=6),
+       step_bits=st.integers(1, 3), epsilon=st.integers(1, 3))
+def test_miner_equals_oracle_on_random_instances(backend, params, items, step_bits,
+                                                 epsilon):
+    # Both sides stop at 12 bits: the miner after the level whose patterns
+    # reach 12 bits, the oracle at max_len 12.
+    T = TransactionSet(items)
+    config = MiningConfig(epsilon=epsilon, step_bits=step_bits,
+                          max_level=12 // step_bits - 1)
+    result = mine(backend, params, T, config)
+    assert result.as_dict() == enumerate_frequent(backend, params, T, epsilon,
                                                   OracleConfig(max_len=12))
