@@ -104,9 +104,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-level", type=int, default=64)
     p.add_argument("--mode", choices=["sound", "heuristic"], default="sound")
     p.add_argument("--threads", type=int, default=1,
-                   help=f"threads (1..{MAX_THREADS}) for the pair-by-pair "
-                        "count of the lz and external backends; the kt count "
-                        "does not use them")
+                   help=f"accepted for compatibility (1..{MAX_THREADS}); "
+                        "counting is serial and the value changes nothing")
     p.add_argument("--out", default=None)
     p.add_argument("--stats", default=None, metavar="FILE",
                    help="write per-level search statistics as JSON")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -122,9 +121,11 @@ class KTBackend:
                 ctx = ctx[1 - order:] + ch if order > 1 else ch
         return KTState(ctx, counts), cost
 
-    def extend_cost(self, state: KTState, bits: str) -> float:
-        """Cost of coding ``bits`` after ``state`` (state is not kept)."""
-        return self.extend(state, bits)[1]
+    def extend_cost(self, state: KTState, bits: str, cost: float = 0.0) -> float:
+        """``cost`` plus the cost of coding ``bits`` after ``state`` (the
+        state is not kept); continues ``cost``'s running sum like
+        ``extend``."""
+        return self.extend(state, bits, cost)[1]
 
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)
@@ -159,9 +160,12 @@ class KTBackend:
         return (x[:k], tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class LZState:
-    """Incremental parse state: phrase trie, current node, phrase counts."""
+class LZState(NamedTuple):
+    """Incremental parse state: phrase trie, current node, phrase counts.
+
+    The trie is shared, never mutated: a parse that adds phrases builds a
+    new dict for the state it returns and leaves its input's trie as it is.
+    """
     trie: dict  # (node, bit) -> node
     next_node: int
     node: int
@@ -197,28 +201,43 @@ class LZBackend:
     def initial_state(self) -> LZState:
         return LZState({}, 1, 0, 0)
 
+    @staticmethod
+    def _parse(state: LZState, bits: str):
+        """Parse ``bits`` after ``state``: (phrases added as {(node, bit):
+        node}, next node, current node, complete phrases).  The state's trie
+        is read, never copied or written."""
+        trie, new = state.trie, {}
+        nxt, node, complete = state.next_node, state.node, state.complete
+        for ch in bits:
+            key = (node, ch)
+            # node ids are >= 1, so a miss in the trie falls through to ``new``
+            child = trie.get(key) or new.get(key)
+            if child is not None:
+                node = child
+            else:
+                new[key] = nxt
+                nxt += 1
+                complete += 1
+                node = 0
+        return new, nxt, node, complete
+
     def extend(self, state: LZState, bits: str,
                cost: float = 0.0) -> tuple[LZState, float]:
         """Parse ``bits`` after ``state`` without mutating it; return
         (state', cost + the cost of ``bits``).  Costs are integer-valued, so
-        continuing a running ``cost`` is exact."""
-        trie = dict(state.trie)
-        nxt, node, complete = state.next_node, state.node, state.complete
-        before = state.phrases
-        for ch in bits:
-            child = trie.get((node, ch))
-            if child is not None:
-                node = child
-            else:
-                trie[(node, ch)] = nxt
-                nxt += 1
-                complete += 1
-                node = 0
-        new = LZState(trie, nxt, node, complete)
-        return new, cost + (_lz_cum_cost(new.phrases) - _lz_cum_cost(before))
+        continuing a running ``cost`` is exact.  When the parse adds no
+        phrase, state' shares ``state``'s trie."""
+        new, nxt, node, complete = self._parse(state, bits)
+        trie = {**state.trie, **new} if new else state.trie
+        out = LZState(trie, nxt, node, complete)
+        return out, cost + (_lz_cum_cost(out.phrases) - _lz_cum_cost(state.phrases))
 
-    def extend_cost(self, state: LZState, bits: str) -> float:
-        return self.extend(state, bits)[1]
+    def extend_cost(self, state: LZState, bits: str, cost: float = 0.0) -> float:
+        """``cost`` plus the cost of ``bits`` after ``state`` (no state is
+        built)."""
+        _, _, node, complete = self._parse(state, bits)
+        phrases = complete + (1 if node != 0 else 0)
+        return cost + (_lz_cum_cost(phrases) - _lz_cum_cost(state.phrases))
 
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)

@@ -5,9 +5,11 @@ the surviving patterns by exactly n bits, counts candidate occurrences in a
 single pass over the transaction set, and prunes candidates below the
 support threshold.  A candidate is coded by extending its parent's coder
 state by its n new bits, so the miner keeps one coder state per surviving
-pattern.  Infrequent patterns are never extended; with a monotone
-backend this pruning is exact (extensions of non-occurring patterns cannot
-occur), so the result equals the full frequent set.
+pattern, with the transactions it occurs in where the count reports them.
+Infrequent patterns are never extended; with a monotone backend this
+pruning is exact (extensions of non-occurring patterns cannot occur), so
+the result equals the full frequent set.  For the same reason a child is
+only counted on the transactions where its parent occurs.
 
 Non-monotone backends (the external adapter) are only admitted in heuristic
 mode, where the output is flagged approximate.
@@ -27,7 +29,8 @@ MODES = ("sound", "heuristic")
 # Budget caps.  Every frontier pattern has 2**step_bits children, and the
 # seed level enumerates all 2**(step_bits + 1) - 2 strings up to step_bits.
 MAX_STEP_BITS = 16
-# The sequential (LZ, external) count runs at most this many threads.
+# ``threads`` is validated against this cap; counting is serial, so the
+# value does not change the work or the result.
 MAX_THREADS = 64
 
 
@@ -81,7 +84,11 @@ class LevelStats:
     candidates: int  # generated
     kept: int        # left after the entropy-reduction prefilter
     groups: int      # signature groups counted
-    pairs: int       # (group, transaction) pairs whose extra cost was evaluated
+    # (group, transaction) pairs whose extra cost was evaluated: all of them
+    # under the KT closed form; for LZ only the (child, transaction) pairs
+    # priced on the parent's occurrence list where L(x) passes entropy
+    # reduction
+    pairs: int
     frequent: int
     seconds: float   # wall time of the whole level
 
@@ -104,11 +111,11 @@ class MiningResult:
         return len(self.patterns)
 
 
-def _count_pass(backend, params, T, candidates, threads=1, code_len=None,
-                signature=None):
+def _count_pass(backend, params, T, candidates, code_len=None, signature=None,
+                parent=None):
     """Exact support count for every candidate in one pass over T (see
     ``occurrence.support``)."""
-    return support(backend, params, T, candidates, code_len, threads, signature)
+    return support(backend, params, T, candidates, code_len, signature, parent)
 
 
 def _prefilter(backend, params, candidates, max_len_y, code_len):
@@ -130,10 +137,10 @@ def _code_candidates(backend, candidates, parents, step_bits):
     """{x: (L(x), signature of x)} for every candidate.
 
     ``parents`` maps each pattern of the frontier to (its coder state, its
-    L).  A candidate is coded from its parent's state, continuing the
-    parent's running sum, so L(x) is bit-identical to
-    ``backend.code_len(x)``; a KT signature is read off the child's state,
-    which is then dropped.  With ``parents`` None (a backend without coder
+    L, its occurrence list or None).  A candidate is coded from its
+    parent's state, continuing the parent's running sum, so L(x) is
+    bit-identical to ``backend.code_len(x)``; a KT signature is read off
+    the child's state, which is then dropped.  With ``parents`` None (a backend without coder
     states) every candidate is coded from scratch.  Equal signatures share
     one object.
     """
@@ -143,7 +150,7 @@ def _code_candidates(backend, candidates, parents, step_bits):
             length, sig = backend.code_len(x), backend.signature(x)
         else:
             parent, suffix = _split(x, step_bits)
-            state, length = parents[parent]
+            state, length, _ = parents[parent]
             state, length = backend.extend(state, suffix, cost=length)
             sig = backend.signature(x, state)
         coded[x] = (length, interned.setdefault(sig, sig))
@@ -154,25 +161,35 @@ def _run_level(backend, params, T, config, candidates, parents, level, start):
     """Code, prefilter and count one level's candidates.
 
     Returns the frequent patterns, the frontier for the next level
-    ({pattern: (coder state, L)}, or None without coder states) and the
-    level's ``LevelStats``.  Only the frequent patterns' states are built
-    and kept, so memory follows the frontier, not the candidates.
+    ({pattern: (coder state, L, occurrence list)}, or None without coder
+    states) and the level's ``LevelStats``.  Only the frequent patterns'
+    states are built and kept, so memory follows the frontier, not the
+    candidates.  A child is counted only on its parent's occurrence list
+    (None, from the KT closed form, stands for every transaction): the
+    backend is monotone, so it cannot occur elsewhere.
     """
-    coded = _code_candidates(backend, candidates, parents, config.step_bits)
+    step = config.step_bits
+    coded = _code_candidates(backend, candidates, parents, step)
     kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
                       lambda x: coded[x][0])
-    counts = _count_pass(backend, params, T, kept, config.threads,
-                         lambda x: coded[x][0], lambda x: coded[x][1])
+    parent = None
+    if parents is not None:
+        def parent(x):
+            p = _split(x, step)[0]
+            return p, parents[p][2]
+    counts = _count_pass(backend, params, T, kept, lambda x: coded[x][0],
+                         lambda x: coded[x][1], parent)
     eps = config.resolve_epsilon(len(T))
     frequent = [FrequentPattern(x, c, coded[x][0], level)
                 for x, c in sorted(counts.items()) if c >= eps]
     frontier = None
     if parents is not None:
+        found = counts.occurrences or {}
         frontier = {}
         for p in frequent:
-            parent, suffix = _split(p.pattern, config.step_bits)
-            state = backend.extend(parents[parent][0], suffix)[0]
-            frontier[p.pattern] = (state, p.code_len)
+            parent_pattern, suffix = _split(p.pattern, step)
+            state = backend.extend(parents[parent_pattern][0], suffix)[0]
+            frontier[p.pattern] = (state, p.code_len, found.get(p.pattern))
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)
     return frequent, frontier, stats
@@ -190,7 +207,7 @@ def _seed(backend, params, T, config):
         candidates.extend(bitutil.all_of_length(length))
     root = None
     if hasattr(backend, "initial_state"):
-        root = {"": (backend.initial_state(), 0.0)}
+        root = {"": (backend.initial_state(), 0.0, None)}
     return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 

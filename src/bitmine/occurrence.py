@@ -15,13 +15,14 @@ additive form.  All inequalities are non-strict.
 transaction.  ``support`` counts many candidates at once.  For the KT
 backend it evaluates L(y||x) - L(y) in closed form with numpy and hands
 every pair within ``REDECIDE_TOL`` of the noise threshold back to the
-sequential coder, so its decisions equal those of ``frequency``; other
-backends take the sequential path of ``frequency``.
+sequential coder, so its decisions equal those of ``frequency``.  Other
+backends with coder states (LZ) are counted with the sequential coder,
+parent by parent, on the transactions where the parent occurs; the
+external backend takes the sequential path of ``frequency``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,13 +220,17 @@ def _sequential_count(backend, coded, limits, x, len_x):
 class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
     ``groups`` signature groups were counted, over ``pairs``
-    (group, transaction) pairs whose extra cost was evaluated."""
+    (group, transaction) pairs whose extra cost was evaluated.
+    ``occurrences`` maps each x to the ascending indices of the
+    transactions it occurs in when the count came from coder states, and
+    is None when it came from the KT closed form or the external backend."""
     groups = 0
     pairs = 0
+    occurrences = None
 
 
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
-            code_len=None, threads: int = 1, signature=None) -> Support:
+            code_len=None, signature=None, parent=None) -> Support:
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
@@ -235,9 +240,13 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     ``signature`` map x to L(x) and to its signature (defaults
     ``backend.code_len`` and ``backend.signature``), so a caller that
     already has them passes them in.  The KT backend is counted in closed
-    form; other backends take the sequential path, whose groups ``threads``
-    worker threads may share.  Counts do not depend on grouping or thread
-    count.
+    form, on every transaction.  Other backends with coder states are counted parent by parent
+    (``_count_by_parent``): ``parent`` maps x to (p, occ), a prefix p of x
+    and the transaction indices where p occurs (None: every transaction).
+    With a monotone backend x can only occur where p does, so the
+    transactions outside occ are skipped.  Without ``parent`` every x is
+    its own child of the empty prefix.  The external backend codes every
+    (x, transaction) pair from scratch.  Counts do not depend on grouping.
     """
     code_len = backend.code_len if code_len is None else code_len
     signature = backend.signature if signature is None else signature
@@ -250,28 +259,60 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     lens = [code_len(xs[0]) for xs in members]
     coded = T.cached(backend)
 
-    counts = None
+    counts = found = None
     if isinstance(backend, KTBackend) and members and len(coded.items):
         counts = _kt_support(backend, params, coded, list(groups), members, lens)
     if counts is not None:
         pairs = len(members) * len(coded.items)
+    elif hasattr(backend, "initial_state"):
+        found, pairs = _count_by_parent(backend, _limits(params, coded), coded,
+                                        [xs[0] for xs in members], lens, parent)
+        counts = [len(ts) for ts in found]
     else:
         limits = _limits(params, coded)
-
-        def count_one(i):
-            return _sequential_count(backend, coded, limits, members[i][0], lens[i])
-
-        if threads > 1 and len(members) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = list(pool.map(count_one, range(len(members))))
-        else:
-            counts = [count_one(i) for i in range(len(members))]
+        counts = [_sequential_count(backend, coded, limits, xs[0], n)
+                  for xs, n in zip(members, lens)]
         # the pairs coded: those where L(x) passes entropy reduction
         bounds = np.sort([max_len_x for max_len_x, _ in limits])
         pairs = int(len(bounds) * len(lens) - np.searchsorted(bounds, lens).sum())
     result = Support((x, int(n)) for xs, n in zip(members, counts) for x in xs)
     result.groups, result.pairs = len(members), pairs
+    if found is not None:
+        result.occurrences = {x: ts for xs, ts in zip(members, found) for x in xs}
     return result
+
+
+def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
+    """(occurrence list of each x, pairs priced) by the sequential coder.
+
+    For every parent p and transaction y in p's occurrence list where some
+    child of p passes entropy reduction, y || p is parsed once; each
+    child x = p || s is then priced by s alone from that state.  The
+    suffix's cost continues p's extra cost L(y||p) - L(y) (``extend_cost``'s
+    running sum), so each extra cost is bit-identical to
+    ``extend_cost(state_y, x)``.
+    """
+    children: dict = {}  # p -> (p's occurrence list, indices into xs)
+    for g, x in enumerate(xs):
+        p, occ = parent(x) if parent is not None else ("", None)
+        children.setdefault(p, (occ, []))[1].append(g)
+    found = [[] for _ in xs]
+    pairs = 0
+    for p, (occ, gs) in children.items():
+        cut = len(p)
+        for t in range(len(coded.items)) if occ is None else occ:
+            max_len_x, max_extra = limits[t]
+            live = [g for g in gs if lens[g] <= max_len_x]
+            if not live:
+                continue
+            state, extra_p = coded.states[t], 0.0
+            if cut:
+                state, extra_p = backend.extend(state, p)
+            pairs += len(live)
+            for g in live:
+                if backend.extend_cost(state, xs[g][cut:], extra_p) <= max_extra:
+                    found[g].append(t)
+    return found, pairs
 
 
 @dataclass

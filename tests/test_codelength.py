@@ -214,3 +214,28 @@ def test_kt_signature_keys_counts_after_the_head():
         "01", (("", (1, 0)), ("0", (0, 1)), ("01", (0, 1)), ("10", (0, 1)),
                ("11", (1, 0))))
     assert kt.signature("0") == ("0", (("", (1, 0)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=bitstrings, b=st.text(alphabet="01", max_size=12),
+       c=st.text(alphabet="01", max_size=12))
+def test_lz_extend_splits_whole_string_coding_exactly(a, b, c):
+    # Counting prices a child from the state after y || parent, continuing
+    # the parent's cost; LZ costs are integers, so every split of a string
+    # must code to exactly its whole-string length, and a parse must leave
+    # the trie of the state it starts from as it was.
+    lz = LZBackend()
+    whole = lz.code_len(a + b + c)
+    sa, la = lz.extend(lz.initial_state(), a)
+    snap_a = dict(sa.trie)
+    sab, lab = lz.extend(sa, b, cost=la)
+    snap_ab = dict(sab.trie)
+    state, labc = lz.extend(sab, c, cost=lab)
+    assert labc == whole
+    assert lz.extend_cost(sab, c, lab) == whole
+    assert lab + lz.extend_cost(sab, c) == whole
+    assert la + lz.extend_cost(sa, b + c) == whole
+    assert sa.trie == snap_a and sab.trie == snap_ab
+    assert state == lz.extend(lz.initial_state(), a + b + c)[0]
+    if state.next_node == sab.next_node:  # c added no phrase
+        assert state.trie is sab.trie

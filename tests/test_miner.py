@@ -2,7 +2,7 @@ import pytest
 
 from bitmine import (ExternalBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
-                     frequency, generate, mine, seed_level0)
+                     frequency, gen_random, generate, mine, seed_level0)
 from bitmine.miner import MAX_STEP_BITS, MAX_THREADS, FrequentPattern
 from bitmine.oracle import MAX_LEN
 
@@ -188,3 +188,27 @@ class TestMine:
                        MiningConfig(epsilon=4, step_bits=2, mode="heuristic",
                                     max_level=2))
         assert res.approximate is True
+
+    def test_heuristic_external_counts_every_transaction(self):
+        # The external backend is not monotone: a child may occur where its
+        # parent does not, so it is counted on every transaction.
+        backend = ExternalBackend("cat")
+        T = gen_random(5, (30, 50), 11)
+        with pytest.warns(UserWarning):
+            res = mine(backend, SCALE, T,
+                       MiningConfig(epsilon=2, step_bits=1, mode="heuristic",
+                                    max_level=2))
+        assert res.levels == 2 and len(res) > 0
+        for p in res:
+            assert p.count == frequency(backend, SCALE, T, p.pattern)
+
+    def test_lz_prices_children_on_their_parents_occurrences(self, lz,
+                                                             fixture_transactions):
+        T = fixture_transactions
+        res = mine(lz, SCALE, T, MiningConfig(epsilon=4, step_bits=2))
+        assert res.levels >= 1
+        assert any(s.pairs < s.kept * len(T) for s in res.stats[1:])
+        for s in res.stats[1:]:
+            # each of a parent's 4 children is priced only where it occurs
+            parents = [p for p in res if p.level == s.level - 1]
+            assert s.pairs <= 4 * sum(p.count for p in parents)

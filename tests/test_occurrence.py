@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitmine import (KTBackend, LZBackend, OccurrenceParams, TransactionSet,
-                     code_len, frequency, gen_random, occurs)
+                     code_len, frequency, gen_random, occurs, support)
+from bitmine import bits as bitutil
+from bitmine import occurrence
 
 from conftest import ktk_len_exact
 
@@ -171,3 +175,72 @@ class TestAntiMonotonicity:
             x = random_bits(rng, 1, 6)
             e = random_bits(rng, 1, 4)
             assert frequency(kt0, SCALE, T, x + e) <= frequency(kt0, SCALE, T, x)
+
+
+class TestSupportByParent:
+    """``support`` with ``parent``: children counted on their parent's
+    occurrence list, from one parse of y || parent per transaction."""
+
+    @staticmethod
+    def _children(parents, step_bits):
+        # the seed level's parent "" has every string of length 1..step_bits
+        if parents == [""]:
+            return {x: "" for n in range(1, step_bits + 1)
+                    for x in bitutil.all_of_length(n)}
+        return {p + s: p for p in parents for s in bitutil.all_of_length(step_bits)}
+
+    def _check(self, backend, params, items, parents, step_bits):
+        T = TransactionSet(items)
+        occ = {p: [t for t, y in enumerate(items) if occurs(backend, params, p, y)]
+               for p in parents if p}
+        occ[""] = None
+        children = self._children(parents, step_bits)
+        counts = support(backend, params, T, list(children),
+                         parent=lambda x: (children[x], occ[children[x]]))
+        for x in children:
+            # infrequent candidates included: every count is checked
+            assert counts[x] == frequency(backend, params, T, x), x
+            assert counts.occurrences[x] == [
+                t for t, y in enumerate(items) if occurs(backend, params, x, y)], x
+        return T, occ, counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant=st.sampled_from(["scale-free", "additive"]),
+           c_a=st.floats(0.05, 0.95), c_b=st.floats(0.05, 0.95),
+           items=st.lists(st.text(alphabet="01", min_size=1, max_size=24),
+                          min_size=1, max_size=8),
+           parent_len=st.integers(0, 8), step_bits=st.integers(1, 3),
+           data=st.data())
+    def test_lz_counts_and_occurrences_equal_the_definition(
+            self, variant, c_a, c_b, items, parent_len, step_bits, data):
+        params = (OccurrenceParams(c1=c_a, c2=c_b) if variant == "scale-free"
+                  else OccurrenceParams(variant="additive", c3=12 * c_a, c4=12 * c_b))
+        parents = [""]
+        if parent_len:
+            parents = data.draw(st.lists(
+                st.text(alphabet="01", min_size=parent_len, max_size=parent_len),
+                min_size=1, max_size=4, unique=True))
+        self._check(LZBackend(), params, items, parents, step_bits)
+
+    def test_kt_sequential_path_takes_parents_too(self, monkeypatch):
+        # Count tables over budget: KT is counted by the coder, parent by
+        # parent, continuing the parent's float sum, so decisions match.
+        monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1)
+        items = gen_random(10, (16, 28), 21).items
+        parents = [format(v, "04b") for v in range(16)]
+        backend = KTBackend(2)
+        T, _, counts = self._check(backend, SCALE, items, parents, 2)
+        assert T.cached(backend).kt is None  # the closed form did not run
+        assert any(counts.values())
+
+    def test_pairs_priced_follow_the_occurrence_lists(self, lz, fixture_transactions):
+        # a pair is priced where the parent occurs and L(x) passes entropy
+        # reduction, and nowhere else
+        items = fixture_transactions.items
+        parents = ["0101", "1100", "0000", "0110"]
+        T, occ, counts = self._check(lz, SCALE, items, parents, 2)
+        lengths = T.cached(lz).lengths
+        assert counts.pairs == sum(
+            lz.code_len(p + s) <= SCALE.entropy_bound(lengths[t])
+            for p in parents for t in occ[p] for s in bitutil.all_of_length(2))
+        assert counts.pairs < 4 * len(parents) * len(items)
