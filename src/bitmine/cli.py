@@ -19,7 +19,7 @@ from . import textio
 from .codelength import EstimationError, make_backend
 from .datagen import DEFAULT_MOTIF, PlantSpec, gen_planted, gen_random
 from .distance import MEASURES, UndefinedDistanceError, distance_matrix
-from .miner import MAX_STEP_BITS, MAX_THREADS, FrequentPattern, MiningConfig, mine
+from .miner import MAX_STEP_BITS, FrequentPattern, MiningConfig, mine
 from .occurrence import OccurrenceParams, PredicateError, TransactionSet
 from .oracle import MAX_LEN, IncompleteEnumerationError, OracleConfig, enumerate_frequent
 
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+MAX_THREADS = 64  # cap of ``mine --threads``, which changes nothing
 
 
 class UsageError(Exception):
@@ -161,10 +162,12 @@ def _cmd_mine(args) -> int:
     backend = make_backend(args.backend, args.order, args.timeout)
     if args.mode == "sound" and not backend.monotone:
         raise UsageError("external backend requires --mode heuristic")
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise UsageError(f"threads must be in 1..{MAX_THREADS}")
     params = _make_params(args)
     config = MiningConfig(epsilon=_parse_epsilon(args.epsilon),
                           step_bits=args.step_bits, max_level=args.max_level,
-                          mode=args.mode, threads=args.threads)
+                          mode=args.mode)
     T = _load_transactions(args.input)
     result = mine(backend, params, T, config)
     header = _backend_header(args)

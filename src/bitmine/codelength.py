@@ -12,7 +12,8 @@ for one may be reused for the other.
 
 An external adapter scores a string as 8 times the byte length of the output
 of a user-supplied compression command.  It is *not* monotone and is only
-admissible in heuristic workflows.
+admissible in heuristic workflows.  Every backend codes from coder states
+(``initial_state``, ``extend``, ``extend_cost``).
 """
 
 from __future__ import annotations
@@ -143,21 +144,11 @@ class KTBackend:
         than ``order`` occur only within the head, so keeping them adds
         nothing the head does not fix.
 
-        ``state``, when given, must be the coder state after x from the
-        initial state; its counts are the key's, so x is not scanned again.
+        ``state`` is the coder state after x (by default, ``extend``'s).
         """
-        k = self.order
         if state is None:
-            # each context shorter than k occurs once, within the head
-            counts = {x[:i]: (0, 1) if x[i] == "1" else (1, 0)
-                      for i in range(min(k, len(x)))}
-            for i in range(k, len(x)):
-                ctx = x[i - k:i]
-                c0, c1 = counts.get(ctx, (0, 0))
-                counts[ctx] = (c0, c1 + 1) if x[i] == "1" else (c0 + 1, c1)
-        else:
-            counts = state.counts
-        return (x[:k], tuple(sorted(counts.items())))
+            state = self.extend(self.initial_state(), x)[0]
+        return (x[:self.order], tuple(sorted(state.counts.items())))
 
 
 class LZState(NamedTuple):
@@ -246,13 +237,20 @@ class LZBackend:
         return None  # parse cost after a state depends on the whole string
 
 
+class ExternalState(NamedTuple):
+    """The bits scored so far and their score."""
+    bits: str
+    score: float
+
+
 class ExternalBackend:
     """Adapter scoring a string as 8 x compressed size under a shell command.
 
     The command reads raw bytes on stdin (bits packed MSB-first, final
     partial byte zero-padded, no length prefix) and writes compressed bytes
     on stdout.  Byte granularity makes the score non-monotone, so this
-    backend is only allowed in heuristic mining mode.
+    backend is only allowed in heuristic mining mode.  Extending a state
+    runs the command on the whole string again.
     """
 
     kind = "external"
@@ -270,6 +268,23 @@ class ExternalBackend:
     @property
     def key(self):
         return (self.kind, self.command)
+
+    def initial_state(self) -> ExternalState:
+        return ExternalState("", 0.0)
+
+    def extend(self, state: ExternalState, bits: str,
+               cost: float = 0.0) -> tuple[ExternalState, float]:
+        """Score ``state``'s bits followed by ``bits``; return (state',
+        cost + the score's increase).  Scores are multiples of 8, so
+        continuing a running ``cost`` is exact."""
+        x = state.bits + bits
+        score = self.code_len(x)
+        return ExternalState(x, score), cost + (score - state.score)
+
+    def extend_cost(self, state: ExternalState, bits: str,
+                    cost: float = 0.0) -> float:
+        """``cost`` plus the score's increase from appending ``bits``."""
+        return self.extend(state, bits, cost)[1]
 
     def code_len(self, x: str) -> float:
         if x == "":
@@ -293,8 +308,8 @@ class ExternalBackend:
             raise EstimationError("external compressor produced no output")
         return 8.0 * len(proc.stdout)
 
-    def signature(self, x: str):
-        return None
+    def signature(self, x: str, state: ExternalState | None = None):
+        return None  # compressed size depends on the whole string
 
 
 def code_len(backend, x: str) -> float:

@@ -12,7 +12,8 @@ the result equals the full frequent set.  For the same reason a child is
 only counted on the transactions where its parent occurs.
 
 Non-monotone backends (the external adapter) are only admitted in heuristic
-mode, where the output is flagged approximate.
+mode, where the output is flagged approximate; a child is then counted on
+every transaction and no occurrence lists are kept.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import bits as bitutil
-from .occurrence import OccurrenceParams, TransactionSet, support
+from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 MODES = ("sound", "heuristic")
 # Budget caps.  Every frontier pattern has 2**step_bits children, and the
 # seed level enumerates all 2**(step_bits + 1) - 2 strings up to step_bits.
 MAX_STEP_BITS = 16
-# ``threads`` is validated against this cap; counting is serial, so the
-# value does not change the work or the result.
-MAX_THREADS = 64
+# Largest level ``generate`` is asked for: frontier x 2**step_bits
+# candidates.  The seed level (at most 131,070 strings) is not generated.
+MAX_LEVEL_CANDIDATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class MiningConfig:
     step_bits: int = 4
     max_level: int = 64
     mode: str = "sound"
-    threads: int = 1
 
     def __post_init__(self):
         if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float)):
@@ -60,8 +60,6 @@ class MiningConfig:
             raise ValueError("max_level must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads must be in 1..{MAX_THREADS}")
 
     def resolve_epsilon(self, n_transactions: int) -> int:
         if isinstance(self.epsilon, int):
@@ -111,11 +109,10 @@ class MiningResult:
         return len(self.patterns)
 
 
-def _count_pass(backend, params, T, candidates, code_len=None, signature=None,
-                parent=None):
+def _count_pass(backend, params, T, candidates, coded, parent):
     """Exact support count for every candidate in one pass over T (see
     ``occurrence.support``)."""
-    return support(backend, params, T, candidates, code_len, signature, parent)
+    return support(backend, params, T, candidates, coded, parent)
 
 
 def _prefilter(backend, params, candidates, max_len_y, code_len):
@@ -133,63 +130,43 @@ def _split(x, step_bits):
     return x[:cut], x[cut:]
 
 
-def _code_candidates(backend, candidates, parents, step_bits):
-    """{x: (L(x), signature of x)} for every candidate.
-
-    ``parents`` maps each pattern of the frontier to (its coder state, its
-    L, its occurrence list or None).  A candidate is coded from its
-    parent's state, continuing the parent's running sum, so L(x) is
-    bit-identical to ``backend.code_len(x)``; a KT signature is read off
-    the child's state, which is then dropped.  With ``parents`` None (a backend without coder
-    states) every candidate is coded from scratch.  Equal signatures share
-    one object.
-    """
-    coded, interned = {}, {}
-    for x in candidates:
-        if parents is None:
-            length, sig = backend.code_len(x), backend.signature(x)
-        else:
-            parent, suffix = _split(x, step_bits)
-            state, length, _ = parents[parent]
-            state, length = backend.extend(state, suffix, cost=length)
-            sig = backend.signature(x, state)
-        coded[x] = (length, interned.setdefault(sig, sig))
-    return coded
-
-
 def _run_level(backend, params, T, config, candidates, parents, level, start):
     """Code, prefilter and count one level's candidates.
 
-    Returns the frequent patterns, the frontier for the next level
-    ({pattern: (coder state, L, occurrence list)}, or None without coder
-    states) and the level's ``LevelStats``.  Only the frequent patterns'
-    states are built and kept, so memory follows the frontier, not the
-    candidates.  A child is counted only on its parent's occurrence list
-    (None, from the KT closed form, stands for every transaction): the
-    backend is monotone, so it cannot occur elsewhere.
+    ``parents`` maps each pattern of the frontier to (its coder state, its
+    L, its occurrence list or None); a candidate is coded from its parent's
+    state by its last ``step_bits`` bits.  Returns the frequent patterns,
+    the frontier for the next level (in the same form) and the level's
+    ``LevelStats``.  Only the frequent patterns' states are built and
+    kept, so memory follows the frontier, not the candidates.  A child of a
+    monotone backend is counted only on its parent's occurrence list (None,
+    from the KT closed form, stands for every transaction).
     """
     step = config.step_bits
-    coded = _code_candidates(backend, candidates, parents, step)
+
+    def from_parent(x):
+        p, suffix = _split(x, step)
+        state, length, _ = parents[p]
+        return state, length, suffix
+
+    coded = code_strings(backend, candidates, from_parent)
     kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
                       lambda x: coded[x][0])
     parent = None
-    if parents is not None:
+    if backend.monotone:
         def parent(x):
             p = _split(x, step)[0]
             return p, parents[p][2]
-    counts = _count_pass(backend, params, T, kept, lambda x: coded[x][0],
-                         lambda x: coded[x][1], parent)
+    counts = _count_pass(backend, params, T, kept, coded, parent)
     eps = config.resolve_epsilon(len(T))
     frequent = [FrequentPattern(x, c, coded[x][0], level)
                 for x, c in sorted(counts.items()) if c >= eps]
-    frontier = None
-    if parents is not None:
-        found = counts.occurrences or {}
-        frontier = {}
-        for p in frequent:
-            parent_pattern, suffix = _split(p.pattern, step)
-            state = backend.extend(parents[parent_pattern][0], suffix)[0]
-            frontier[p.pattern] = (state, p.code_len, found.get(p.pattern))
+    found = (counts.occurrences if backend.monotone else None) or {}
+    frontier = {}
+    for p in frequent:
+        parent_pattern, suffix = _split(p.pattern, step)
+        state = backend.extend(parents[parent_pattern][0], suffix)[0]
+        frontier[p.pattern] = (state, p.code_len, found.get(p.pattern))
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)
     return frequent, frontier, stats
@@ -205,9 +182,7 @@ def _seed(backend, params, T, config):
     candidates = []
     for length in range(max(1, params.min_pattern_len), config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
-    root = None
-    if hasattr(backend, "initial_state"):
-        root = {"": (backend.initial_state(), 0.0, None)}
+    root = {"": (backend.initial_state(), 0.0, None)}
     return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 
@@ -249,6 +224,11 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
             truncated = True
             break
         level += 1
+        size = len(frequent) << config.step_bits
+        if size > MAX_LEVEL_CANDIDATES:
+            raise ValueError(
+                f"level {level} would generate {size} candidates, over the "
+                f"cap of {MAX_LEVEL_CANDIDATES}")
         start = time.perf_counter()
         candidates = generate(frequent, config.step_bits)
         frequent, frontier, level_stats = _run_level(

@@ -15,10 +15,9 @@ additive form.  All inequalities are non-strict.
 transaction.  ``support`` counts many candidates at once.  For the KT
 backend it evaluates L(y||x) - L(y) in closed form with numpy and hands
 every pair within ``REDECIDE_TOL`` of the noise threshold back to the
-sequential coder, so its decisions equal those of ``frequency``.  Other
-backends with coder states (LZ) are counted with the sequential coder,
-parent by parent, on the transactions where the parent occurs; the
-external backend takes the sequential path of ``frequency``.
+sequential coder, so its decisions equal those of ``frequency``.  Every
+other backend (LZ, the external adapter) is counted with the sequential
+coder, parent by parent, on the transactions where the parent occurs.
 """
 
 from __future__ import annotations
@@ -81,28 +80,12 @@ class OccurrenceParams:
         return self.c4
 
 
-def _code(backend, y):
-    """(L(y), coder state after y); the state is None for a backend that
-    codes whole strings only."""
-    if hasattr(backend, "initial_state"):
-        state, cost = backend.extend(backend.initial_state(), y)
-        return cost, state
-    return backend.code_len(y), None
-
-
-def _extra(backend, state_y, y, x, len_y):
-    """L(y||x) - L(y) by the sequential coder."""
-    if state_y is not None:
-        return backend.extend_cost(state_y, x)
-    return backend.code_len(y + x) - len_y
-
-
 @dataclass
 class _Coded:
     """A transaction set as one backend sees it."""
     items: tuple    # the transactions these entries were computed from
     lengths: list   # L(y) per transaction
-    states: list    # coder state after y per transaction, or None
+    states: list    # coder state after y per transaction
     kt: object = None  # _KTCounts, built by the first closed-form count
 
 
@@ -147,8 +130,9 @@ class TransactionSet:
         entry = self._cache.get(backend.key)
         if entry is None or entry.items != items:
             _check_items(items)
-            coded = [_code(backend, y) for y in items]
-            entry = _Coded(items, [c for c, _ in coded], [s for _, s in coded])
+            root = backend.initial_state()
+            coded = [backend.extend(root, y) for y in items]
+            entry = _Coded(items, [c for _, c in coded], [s for s, _ in coded])
             self._cache[backend.key] = entry
         return entry
 
@@ -174,20 +158,31 @@ def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     _check_pattern(params, x)
     if len(y) < 1:
         raise ValueError("datum must have length >= 1")
-    len_y, state_y = _code(backend, y)
+    state_y, len_y = backend.extend(backend.initial_state(), y)
     if len_y <= 0.0:
         raise PredicateError(
             f"backend reports code length {len_y} for a non-empty datum")
     len_x = backend.code_len(x)
-    return _occurs_len(params, len_x, len_y, _extra(backend, state_y, y, x, len_y))
+    return _occurs_len(params, len_x, len_y, backend.extend_cost(state_y, x))
 
 
 def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> int:
     """Number of transactions (with multiplicity) in which x occurs."""
     _check_pattern(params, x)
-    coded = T.cached(backend)
-    return _sequential_count(backend, coded, _limits(params, coded), x,
-                             backend.code_len(x))
+    cache = T.cached(backend)
+    len_x = backend.code_len(x)
+    count = 0
+    for i, (state_y, (max_len_x, max_extra)) in enumerate(
+            zip(cache.states, _limits(params, cache))):
+        if len_x > max_len_x:
+            continue
+        try:
+            extra = backend.extend_cost(state_y, x)
+        except EstimationError as exc:
+            raise EstimationError(f"transaction {i}: {exc}") from exc
+        if extra <= max_extra:
+            count += 1
+    return count
 
 
 def _limits(params, coded):
@@ -200,81 +195,74 @@ def _limits(params, coded):
             for len_y in coded.lengths]
 
 
-def _sequential_count(backend, coded, limits, x, len_x):
-    """The definitional count: the sequential coder on every transaction
-    where x passes entropy reduction."""
-    count = 0
-    for i, (y, len_y, state_y, (max_len_x, max_extra)) in enumerate(
-            zip(coded.items, coded.lengths, coded.states, limits)):
-        if len_x > max_len_x:
-            continue
-        try:
-            extra = _extra(backend, state_y, y, x, len_y)
-        except EstimationError as exc:
-            raise EstimationError(f"transaction {i}: {exc}") from exc
-        if extra <= max_extra:
-            count += 1
-    return count
-
-
 class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
     ``groups`` signature groups were counted, over ``pairs``
     (group, transaction) pairs whose extra cost was evaluated.
     ``occurrences`` maps each x to the ascending indices of the
     transactions it occurs in when the count came from coder states, and
-    is None when it came from the KT closed form or the external backend."""
+    is None when it came from the KT closed form."""
     groups = 0
     pairs = 0
     occurrences = None
 
 
+def code_strings(backend, xs, start=None) -> dict:
+    """{x: (L(x), signature of x)}, each x coded once by ``extend`` and
+    its signature read off the resulting state; equal signatures share one
+    object.  ``start`` maps x to (coder state after a prefix p of x, L(p),
+    the rest of x), continuing L(p)'s running sum (default: the initial
+    state), so L(x) is bit-identical to ``backend.code_len(x)``.
+    """
+    root = backend.initial_state()
+    coded, interned = {}, {}
+    for x in xs:
+        state, cost, rest = (root, 0.0, x) if start is None else start(x)
+        state, length = backend.extend(state, rest, cost)
+        sig = backend.signature(x, state)
+        coded[x] = (length, interned.setdefault(sig, sig))
+    return coded
+
+
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
-            code_len=None, signature=None, parent=None) -> Support:
+            coded=None, parent=None) -> Support:
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
-    Candidates are grouped by backend signature (strings with equal
-    signatures cost the same after any coder state, hence have identical
-    support) and each group is counted once.  ``code_len`` and
-    ``signature`` map x to L(x) and to its signature (defaults
-    ``backend.code_len`` and ``backend.signature``), so a caller that
-    already has them passes them in.  The KT backend is counted in closed
-    form, on every transaction.  Other backends with coder states are counted parent by parent
-    (``_count_by_parent``): ``parent`` maps x to (p, occ), a prefix p of x
-    and the transaction indices where p occurs (None: every transaction).
-    With a monotone backend x can only occur where p does, so the
-    transactions outside occ are skipped.  Without ``parent`` every x is
-    its own child of the empty prefix.  The external backend codes every
-    (x, transaction) pair from scratch.  Counts do not depend on grouping.
+    ``coded`` maps each x to (L(x), its signature), as ``code_strings``
+    (the default) returns it.  Candidates are grouped by signature
+    (strings with equal signatures cost the same after any coder state,
+    hence have identical support) and each group is counted once.  The KT
+    backend is counted in closed form, on every transaction.  Every other
+    backend (and KT when its count tables are too large) is counted parent
+    by parent (``_count_by_parent``): ``parent`` maps x to (p, occ), a
+    prefix p of x and the transaction indices where p occurs (None: every
+    transaction).  With a monotone backend x can only occur where p does,
+    so the transactions outside occ are skipped.  Without ``parent`` every
+    x is its own child of the empty prefix.  Counts do not depend on
+    grouping.
     """
-    code_len = backend.code_len if code_len is None else code_len
-    signature = backend.signature if signature is None else signature
+    if coded is None:
+        candidates = list(candidates)
+        coded = code_strings(backend, candidates)
     groups: dict = {}
     for x in candidates:
         _check_pattern(params, x)
-        sig = signature(x)
+        sig = coded[x][1]
         groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
     members = list(groups.values())
-    lens = [code_len(xs[0]) for xs in members]
-    coded = T.cached(backend)
+    lens = [coded[xs[0]][0] for xs in members]
+    cache = T.cached(backend)
 
     counts = found = None
-    if isinstance(backend, KTBackend) and members and len(coded.items):
-        counts = _kt_support(backend, params, coded, list(groups), members, lens)
+    if isinstance(backend, KTBackend) and members and len(cache.items):
+        counts = _kt_support(backend, params, cache, list(groups), members, lens)
     if counts is not None:
-        pairs = len(members) * len(coded.items)
-    elif hasattr(backend, "initial_state"):
-        found, pairs = _count_by_parent(backend, _limits(params, coded), coded,
+        pairs = len(members) * len(cache.items)
+    else:
+        found, pairs = _count_by_parent(backend, _limits(params, cache), cache,
                                         [xs[0] for xs in members], lens, parent)
         counts = [len(ts) for ts in found]
-    else:
-        limits = _limits(params, coded)
-        counts = [_sequential_count(backend, coded, limits, xs[0], n)
-                  for xs, n in zip(members, lens)]
-        # the pairs coded: those where L(x) passes entropy reduction
-        bounds = np.sort([max_len_x for max_len_x, _ in limits])
-        pairs = int(len(bounds) * len(lens) - np.searchsorted(bounds, lens).sum())
     result = Support((x, int(n)) for xs, n in zip(members, counts) for x in xs)
     result.groups, result.pairs = len(members), pairs
     if found is not None:
@@ -297,21 +285,24 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
         p, occ = parent(x) if parent is not None else ("", None)
         children.setdefault(p, (occ, []))[1].append(g)
     found = [[] for _ in xs]
-    pairs = 0
-    for p, (occ, gs) in children.items():
-        cut = len(p)
-        for t in range(len(coded.items)) if occ is None else occ:
-            max_len_x, max_extra = limits[t]
-            live = [g for g in gs if lens[g] <= max_len_x]
-            if not live:
-                continue
-            state, extra_p = coded.states[t], 0.0
-            if cut:
-                state, extra_p = backend.extend(state, p)
-            pairs += len(live)
-            for g in live:
-                if backend.extend_cost(state, xs[g][cut:], extra_p) <= max_extra:
-                    found[g].append(t)
+    pairs = t = 0
+    try:
+        for p, (occ, gs) in children.items():
+            cut = len(p)
+            for t in range(len(coded.items)) if occ is None else occ:
+                max_len_x, max_extra = limits[t]
+                live = [g for g in gs if lens[g] <= max_len_x]
+                if not live:
+                    continue
+                state, extra_p = coded.states[t], 0.0
+                if cut:
+                    state, extra_p = backend.extend(state, p)
+                pairs += len(live)
+                for g in live:
+                    if backend.extend_cost(state, xs[g][cut:], extra_p) <= max_extra:
+                        found[g].append(t)
+    except EstimationError as exc:
+        raise EstimationError(f"transaction {t}: {exc}") from exc
     return found, pairs
 
 

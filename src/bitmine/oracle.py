@@ -2,9 +2,10 @@
 
 Enumerates every bit string up to a length cap and computes its support,
 with no pruning.  Only meant for desk-scale verification of the level-wise
-miner's search.  Supports come from the same ``occurrence.support`` kernel
-the miner uses; that kernel is checked against the sequential
-``occurrence.frequency`` in the tests.
+miner's search.  Each string is coded once from the initial coder state,
+which gives its code length and its signature.  Supports come from the
+same ``occurrence.support`` kernel the miner uses; that kernel is checked
+against the sequential ``occurrence.frequency`` in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import bits as bitutil
-from .occurrence import OccurrenceParams, TransactionSet, support
+from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 # Strings of one length class counted per support call; bounds memory.
 _CHUNK = 2048
@@ -56,11 +57,11 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
         min_code_len = math.inf
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):
-            lengths = {x: backend.code_len(x) for x in chunk}
-            min_code_len = min(min_code_len, *lengths.values())
+            coded = code_strings(backend, chunk)
+            min_code_len = min(min_code_len, *(n for n, _ in coded.values()))
             # a string above the bound occurs in no transaction; support 0
-            kept = [x for x in chunk if lengths[x] <= occur_bound]
-            counts = support(backend, params, T, kept, lengths.__getitem__)
+            kept = [x for x in chunk if coded[x][0] <= occur_bound]
+            counts = support(backend, params, T, kept, coded)
             result.update((x, counts[x]) for x in kept if counts[x] >= epsilon)
         if min_code_len > occur_bound:
             termination_covered = True

@@ -48,6 +48,12 @@ class TestMine:
         assert main(argv) == 1
         assert "must be in 1.." in capsys.readouterr().err
 
+    def test_level_over_the_candidate_cap_is_usage_error(self, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr("bitmine.miner.MAX_LEVEL_CANDIDATES", 1)
+        assert main(["mine", DATASET, *MINE_FLAGS]) == 1
+        assert "over the cap of 1" in capsys.readouterr().err
+
     def test_threads_do_not_change_output_bytes(self, tmp_path):
         outs = []
         for threads in ("1", "8"):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitmine import (EstimationError, ExternalBackend, KTBackend, LZBackend,
@@ -197,6 +197,12 @@ def test_make_backend():
 @settings(max_examples=300, deadline=None)
 @given(backend=st.sampled_from([KTBackend(k) for k in range(5)] + [LZBackend()]),
        a=bitstrings, b=st.text(alphabet="01", max_size=12))
+# the external adapter runs a process per call: a few fixed strings, across
+# byte boundaries
+@example(backend=ExternalBackend("cat"), a="", b="1")
+@example(backend=ExternalBackend("cat"), a="0110", b="")
+@example(backend=ExternalBackend("cat"), a="0110100", b="1101")
+@example(backend=ExternalBackend("cat"), a="1" * 9, b="0" * 7)
 def test_extension_from_a_prefix_state_is_bit_identical(backend, a, b):
     # The miner codes a child from its parent's state, continuing the
     # parent's running sum; that must equal coding the child from scratch

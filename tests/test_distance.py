@@ -9,7 +9,7 @@ from bitmine import (KTBackend, TransactionSet, UndefinedDistanceError,
                      info_dist, kraft_diagnostic, ncd, nid_estimate,
                      triangle_violation_rate)
 from bitmine import bits as bitutil
-from bitmine.distance import MAX_NEIGHBORHOOD_LEN
+from bitmine.distance import MAX_NEIGHBORHOOD_LEN, DistanceMatrix
 
 
 def random_bits(rng, n):
@@ -120,6 +120,32 @@ def test_triangle_violation_rate_is_a_rate(kt0):
     m = distance_matrix(kt0, corpus, "ncd")
     rate = triangle_violation_rate(m)
     assert 0.0 <= rate <= 1.0
+
+
+def _triangle_rate_by_triples(d):
+    # the definition, one ordered triple at a time
+    n = d.shape[0]
+    triples = violations = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if len({a, b, c}) < 3:
+                    continue
+                triples += 1
+                if d[a, c] > d[a, b] + d[b, c] + 1e-12:
+                    violations += 1
+    return violations / triples if triples else 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16])
+def test_triangle_violation_rate_equals_the_triple_loop(n):
+    rng = np.random.default_rng(n)
+    uniform = rng.random((n, n))
+    # few distinct values: many sums land on the comparison's boundary
+    ties = rng.integers(0, 3, (n, n)) / 2.0
+    for values in (uniform, (uniform + uniform.T) / 2, ties, ties + ties.T):
+        m = DistanceMatrix([f"i{k}" for k in range(n)], values, "ncd")
+        assert triangle_violation_rate(m) == _triangle_rate_by_triples(values)
 
 
 def test_kraft_diagnostic_runs(kt0):

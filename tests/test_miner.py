@@ -3,7 +3,8 @@ import pytest
 from bitmine import (ExternalBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
                      frequency, gen_random, generate, mine, seed_level0)
-from bitmine.miner import MAX_STEP_BITS, MAX_THREADS, FrequentPattern
+from bitmine import miner
+from bitmine.miner import MAX_LEVEL_CANDIDATES, MAX_STEP_BITS, FrequentPattern
 from bitmine.oracle import MAX_LEN
 
 SCALE = OccurrenceParams(c1=0.6, c2=0.3)
@@ -33,15 +34,13 @@ class TestConfig:
             MiningConfig(step_bits=0)
         with pytest.raises(ValueError):
             MiningConfig(mode="fast")
-        with pytest.raises(ValueError):
-            MiningConfig(threads=0)
 
     def test_budget_caps(self):
-        MiningConfig(step_bits=MAX_STEP_BITS, threads=MAX_THREADS)
+        MiningConfig(step_bits=MAX_STEP_BITS)
         with pytest.raises(ValueError, match="step_bits"):
             MiningConfig(step_bits=MAX_STEP_BITS + 1)
-        with pytest.raises(ValueError, match="threads"):
-            MiningConfig(threads=MAX_THREADS + 1)
+        # the seed level at the largest step is not capped, and fits anyway
+        assert 2 ** (MAX_STEP_BITS + 1) - 2 <= MAX_LEVEL_CANDIDATES
         OracleConfig(max_len=MAX_LEN)
         with pytest.raises(ValueError, match="max_len"):
             OracleConfig(max_len=MAX_LEN + 1)
@@ -140,13 +139,6 @@ class TestMine:
         b = mine(kt0, SCALE, shuffled, MiningConfig(epsilon=4, step_bits=2))
         assert a.patterns == b.patterns
 
-    def test_thread_count_does_not_change_result(self, kt0, fixture_transactions):
-        a = mine(kt0, SCALE, fixture_transactions,
-                 MiningConfig(epsilon=4, step_bits=2, threads=1))
-        b = mine(kt0, SCALE, fixture_transactions,
-                 MiningConfig(epsilon=4, step_bits=2, threads=8))
-        assert a.patterns == b.patterns
-
     def test_lz_backend_agrees_with_oracle(self, lz, fixture_transactions):
         T = fixture_transactions
         res = mine(lz, SCALE, T, MiningConfig(epsilon=4, step_bits=2))
@@ -201,6 +193,44 @@ class TestMine:
         assert res.levels == 2 and len(res) > 0
         for p in res:
             assert p.count == frequency(backend, SCALE, T, p.pattern)
+
+    def test_heuristic_external_codes_each_string_once(self, monkeypatch):
+        # One compressor call per transaction, per candidate coded, per
+        # (candidate, transaction) pair priced and per frontier state.
+        backend = ExternalBackend("cat")
+        calls = []
+        real = backend.code_len
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(backend, "code_len", counted)
+        T = gen_random(5, (30, 50), 11)
+        with pytest.warns(UserWarning):
+            res = mine(backend, SCALE, T,
+                       MiningConfig(epsilon=2, step_bits=1, mode="heuristic",
+                                    max_level=2))
+        assert res.levels == 2 and len(res) > 0
+        assert len(calls) <= len(T) + sum(s.candidates + s.pairs + s.frequent
+                                          for s in res.stats)
+
+    def test_level_over_the_candidate_cap_is_refused(self, kt0,
+                                                     fixture_transactions,
+                                                     monkeypatch):
+        # With a cap of 1 the seed level (6 strings, not generated) still
+        # runs; level 1 is refused before any candidate is generated.
+        def refuse(prev, step_bits):
+            raise AssertionError("level generated despite the cap")
+
+        cfg = MiningConfig(epsilon=4, step_bits=2)
+        seeds = seed_level0(kt0, SCALE, fixture_transactions, cfg)
+        monkeypatch.setattr(miner, "MAX_LEVEL_CANDIDATES", 1)
+        monkeypatch.setattr(miner, "generate", refuse)
+        with pytest.raises(ValueError, match=(
+                f"level 1 would generate {4 * len(seeds)} candidates, "
+                "over the cap of 1")):
+            mine(kt0, SCALE, fixture_transactions, cfg)
 
     def test_lz_prices_children_on_their_parents_occurrences(self, lz,
                                                              fixture_transactions):

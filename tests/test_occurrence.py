@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitmine import (KTBackend, LZBackend, OccurrenceParams, TransactionSet,
-                     code_len, frequency, gen_random, occurs, support)
+from bitmine import (ExternalBackend, KTBackend, LZBackend, OccurrenceParams,
+                     TransactionSet, code_len, frequency, gen_random, occurs,
+                     support)
 from bitmine import bits as bitutil
 from bitmine import occurrence
 
@@ -232,6 +233,24 @@ class TestSupportByParent:
         T, _, counts = self._check(backend, SCALE, items, parents, 2)
         assert T.cached(backend).kt is None  # the closed form did not run
         assert any(counts.values())
+
+    def test_external_backend_is_counted_from_its_coder_states(self):
+        # The external adapter has no signatures: each candidate is coded
+        # once, then priced on every transaction where L(x) passes entropy
+        # reduction, from the transaction's coder state.
+        ext = ExternalBackend("cat")
+        items = ["0110" * 4, "1" * 16, "01101001" * 4, "001" * 10, "1" * 7]
+        T = TransactionSet(items)
+        xs = ["0", "1", "01", "10", "110", "0" * 9, "1101001011"]
+        counts = support(ext, SCALE, T, xs)
+        for x in xs:
+            assert counts[x] == frequency(ext, SCALE, T, x), x
+        lengths = T.cached(ext).lengths
+        assert counts.pairs == sum(
+            ext.code_len(x) <= SCALE.entropy_bound(len_y)
+            for x in xs for len_y in lengths)
+        assert counts.groups == len(xs) and counts.pairs < len(xs) * len(items)
+        assert len(set(counts.values())) > 1
 
     def test_pairs_priced_follow_the_occurrence_lists(self, lz, fixture_transactions):
         # a pair is priced where the parent occurs and L(x) passes entropy
