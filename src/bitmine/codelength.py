@@ -34,12 +34,6 @@ class EstimationError(Exception):
 
 
 @lru_cache(maxsize=None)
-def _kt_step_cost(c: int, n: int) -> float:
-    # -log2 of the add-1/2 probability (c + 1/2) / (n + 1)
-    return math.log2(2 * n + 2) - math.log2(2 * c + 1)
-
-
-@lru_cache(maxsize=None)
 def kt_log_tables(size: int):
     """Cumulative tables ``A[m] = sum_{i<m} log2(2i + 1)`` and
     ``B[m] = sum_{i<m} log2(2i + 2)`` for m < size, as read-only arrays.
@@ -113,10 +107,12 @@ class KTBackend:
         order = self.order
         ctx = state.context
         counts = dict(state.counts)
+        log2 = math.log2
         for ch in bits:
             b = ch == "1"
             c0, c1 = counts.get(ctx, (0, 0))
-            cost += _kt_step_cost(c1 if b else c0, c0 + c1)
+            # -log2 of the add-1/2 probability (c + 1/2) / (c0 + c1 + 1)
+            cost += log2(2 * (c0 + c1) + 2) - log2(2 * (c1 if b else c0) + 1)
             counts[ctx] = (c0, c1 + 1) if b else (c0 + 1, c1)
             if order:
                 ctx = ctx[1 - order:] + ch if order > 1 else ch
@@ -170,10 +166,12 @@ class LZState(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _lz_cum_cost(t: int) -> float:
-    # sum over phrases i=1..t of (ceil(log2 i) + 1) bits
+    # sum over phrases i=1..t of (ceil(log2 i) + 1) bits; with
+    # m = ceil(log2 t) it is t * (m + 1) - 2^m + 1
     if t == 0:
         return 0.0
-    return _lz_cum_cost(t - 1) + (math.ceil(math.log2(t)) if t > 1 else 0) + 1
+    m = (t - 1).bit_length()
+    return float(t * (m + 1) - (1 << m) + 1)
 
 
 class LZBackend:

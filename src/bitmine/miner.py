@@ -180,7 +180,7 @@ def _seed(backend, params, T, config):
     if config.resolve_epsilon(len(T)) > len(T):
         return [], None, None
     candidates = []
-    for length in range(max(1, params.min_pattern_len), config.step_bits + 1):
+    for length in range(1, config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
     root = {"": (backend.initial_state(), 0.0, None)}
     return _run_level(backend, params, T, config, candidates, root, 0, start)

@@ -52,7 +52,6 @@ class OccurrenceParams:
     c2: float = 0.25
     c3: float = 1.0
     c4: float = 1.0
-    min_pattern_len: int = 1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -63,8 +62,6 @@ class OccurrenceParams:
         else:
             if not (self.c3 > 0.0 and self.c4 > 0.0):
                 raise ValueError("additive thresholds need c3 > 0 and c4 > 0")
-        if self.min_pattern_len < 1:
-            raise ValueError("min_pattern_len must be >= 1")
 
     def entropy_bound(self, len_y):
         """Largest L(x) that passes entropy reduction against L(y) = len_y
@@ -147,15 +144,14 @@ def _occurs_len(params: OccurrenceParams, len_x: float, len_y: float,
             and extra <= params.noise_bound(len_y))
 
 
-def _check_pattern(params: OccurrenceParams, x: str):
-    if len(x) < params.min_pattern_len:
-        raise ValueError(
-            f"pattern length {len(x)} below min_pattern_len {params.min_pattern_len}")
+def _check_pattern(x: str):
+    if not x:
+        raise ValueError("pattern must have length >= 1")
 
 
 def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     """Does pattern x occur in datum y under the given thresholds?"""
-    _check_pattern(params, x)
+    _check_pattern(x)
     if len(y) < 1:
         raise ValueError("datum must have length >= 1")
     state_y, len_y = backend.extend(backend.initial_state(), y)
@@ -168,7 +164,7 @@ def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
 
 def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> int:
     """Number of transactions (with multiplicity) in which x occurs."""
-    _check_pattern(params, x)
+    _check_pattern(x)
     cache = T.cached(backend)
     len_x = backend.code_len(x)
     count = 0
@@ -247,7 +243,7 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
         coded = code_strings(backend, candidates)
     groups: dict = {}
     for x in candidates:
-        _check_pattern(params, x)
+        _check_pattern(x)
         sig = coded[x][1]
         groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
     members = list(groups.values())
@@ -313,7 +309,6 @@ class _KTCounts:
     max_count: int    # largest count total n = c0 + c1 of any row
     zeros: np.ndarray  # (rows + 1) x transactions
     ones: np.ndarray
-    base: np.ndarray  # cost terms at y's own counts: B[n] - A[c0] - A[c1]
     tails: list       # distinct tail contexts (coder context after y)
     tail_of: np.ndarray  # index into tails, per transaction
 
@@ -336,10 +331,7 @@ def _kt_counts(coded: _Coded):
             for ctx, (c0, c1) in state.counts.items():
                 zeros[rows[ctx], t], ones[rows[ctx], t] = c0, c1
             tail_of.append(tails.setdefault(state.context, len(tails)))
-        max_count = int((zeros + ones).max())
-        A, B = kt_log_tables(1 << max_count.bit_length())
-        coded.kt = _KTCounts(rows, max_count, zeros, ones,
-                             B[zeros + ones] - A[zeros] - A[ones],
+        coded.kt = _KTCounts(rows, int((zeros + ones).max()), zeros, ones,
                              list(tails), np.array(tail_of))
     return coded.kt
 
@@ -369,7 +361,8 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     # within an ulp of exact, so the closed form's rounding (per_group
     # entries) and the sequential coder's (max_x steps) are bounded in
     # units of the largest entry a pair can read.  A context a group does
-    # not touch costs exactly 0: it repeats the B - A - A of ``base``.
+    # not touch costs exactly 0: it repeats ``base``, the B - A - A terms
+    # at y's own counts (an entry does not depend on the table's size).
     per_group = min(max_x, 2 ** (backend.order + 1) - 1)
     tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
@@ -402,7 +395,8 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     body = np.array(body, dtype=np.intp)
     group_head = np.array(group_head)
     rows = np.array([kt.rows.get(ctx, len(kt.rows)) for ctx in cols])
-    c0, c1, base = kt.zeros[rows], kt.ones[rows], kt.base[rows]
+    c0, c1 = kt.zeros[rows], kt.ones[rows]
+    base = B[c0 + c1] - A[c0] - A[c1]
 
     len_x = np.asarray(lens)
     counts = np.zeros(len(members), dtype=np.intp)

@@ -53,7 +53,7 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
 
     result = {}
     termination_covered = False
-    for length in range(max(1, params.min_pattern_len), config.max_len + 1):
+    for length in range(1, config.max_len + 1):
         min_code_len = math.inf
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):

@@ -40,13 +40,13 @@ def ktk_len_exact(s: str, order: int) -> float:
 
 def lz_phrase_count(s: str) -> int:
     """Number of phrases in the incremental parse, trailing partial phrase
-    included, using a plain list of phrase strings."""
-    phrases = []
+    included, using a plain set of phrase strings."""
+    phrases = set()
     cur = ""
     for ch in s:
         cur += ch
         if cur not in phrases:
-            phrases.append(cur)
+            phrases.add(cur)
             cur = ""
     return len(phrases) + (1 if cur else 0)
 

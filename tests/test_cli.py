@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,17 @@ class TestNcd:
         b.write_bytes(b"ababababab")
         assert main(["ncd", str(a), str(b)]) == 0
         assert "labels:" in capsys.readouterr().out
+
+    def test_lz_codes_long_items(self, tmp_path, capsys):
+        # two 20,000-bit items: about 1,500 LZ phrases each
+        rng = random.Random(22)
+        f = tmp_path / "long.txt"
+        f.write_text("".join(f"hex:{rng.getrandbits(20_000):05000x}\n"
+                             for _ in range(2)))
+        assert main(["ncd", str(f), "--backend", "lz"]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if ln and not ln.startswith(("#", "labels:"))]
+        assert [len(r) for r in rows] == [2, 2]
 
 
 class TestGen:

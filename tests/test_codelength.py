@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +58,22 @@ class TestKT:
         for backend in (kt0, kt1):
             assert code_len(backend, x) == code_len(backend, x)
 
+    def test_coding_retains_no_memory(self):
+        # no memo may grow with the counts a long input reaches
+        rng = random.Random(21)
+        xs = ["".join(rng.choices("01", k=100_000)) for _ in range(2)]
+        kt3 = KTBackend(order=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lengths = [kt3.code_len(x) for x in xs]
+            del lengths
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+
     @given(x=bitstrings)
     def test_signature_groups_cost_equal_strings(self, x):
         # strings sharing a signature must share their code length
@@ -81,6 +99,15 @@ class TestLZ:
         for _ in range(300):
             x = "".join(rng.choice("01") for _ in range(rng.randint(0, 60)))
             assert code_len(lz, x) == pytest.approx(lz_len_exact(x), abs=1e-12)
+
+    def test_long_string_matches_reference(self, lz):
+        # about 1,500 phrases: far deeper than Python's recursion limit
+        rng = random.Random(20)
+        x = "".join(rng.choice("01") for _ in range(20_000))
+        assert lz.code_len(x) == lz_len_exact(x)
+        state, cost = lz.extend(lz.initial_state(), x[:7_001])
+        state, cost = lz.extend(state, x[7_001:13_000], cost)
+        assert lz.extend(state, x[13_000:], cost)[1] == lz_len_exact(x)
 
 
 class TestMonotonicity:

@@ -37,10 +37,6 @@ class TestParams:
         with pytest.raises(ValueError):
             OccurrenceParams(variant="multiplicative")
 
-    def test_min_pattern_len_floor(self):
-        with pytest.raises(ValueError):
-            OccurrenceParams(min_pattern_len=0)
-
 
 class TestOccurs:
     def test_pattern_never_occurs_in_itself_scale_free(self, kt0):
