@@ -12,12 +12,18 @@ which makes ncd exactly symmetric.  With approximations the metric axioms
 are not guaranteed: self-distances are positive and values may slightly
 exceed 1, so triangle-inequality and Kraft checks are offered as
 diagnostics only.
+
+Matrices and the Kraft sum code each item once from the initial state and
+price every joint by continuing the first item's coder state and running
+sum, so they equal (``==``) the single-pair functions, which stay the
+definitional reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +82,49 @@ def ncd(backend, a: str, b: str) -> float:
 _MEASURE_FN = {"nid": nid_estimate, "ncd": ncd, "info": info_dist}
 
 
+class _Coded(NamedTuple):
+    """An item coded once from the initial state."""
+    bits: str
+    state: object
+    length: float
+
+
+def _code(backend, x: str) -> _Coded:
+    return _Coded(x, *backend.extend(backend.initial_state(), x))
+
+
+def _cond(backend, x: _Coded, given: _Coded) -> float:
+    """L(x | given) from given's state: equals ``cond_code_len``."""
+    return backend.extend_cost(given.state, x.bits, given.length) - given.length
+
+
+def _denom(a: _Coded, b: _Coded) -> float:
+    denom = max(a.length, b.length)
+    if denom <= 0.0:
+        raise UndefinedDistanceError("both code lengths are zero")
+    return denom
+
+
+def _info_coded(backend, a: _Coded, b: _Coded) -> float:
+    return max(_cond(backend, b, a), _cond(backend, a, b))
+
+
+def _nid_coded(backend, a: _Coded, b: _Coded) -> float:
+    denom = _denom(a, b)
+    return _info_coded(backend, a, b) / denom
+
+
+def _ncd_coded(backend, a: _Coded, b: _Coded) -> float:
+    denom = _denom(a, b)
+    first, second = (b, a) if (len(a.bits), a.bits) > (len(b.bits), b.bits) else (a, b)
+    joint = backend.extend_cost(first.state, second.bits, first.length)
+    return (joint - min(a.length, b.length)) / denom
+
+
+# The same measures on coded items, equal (==) to ``_MEASURE_FN``'s.
+_CODED_FN = {"nid": _nid_coded, "ncd": _ncd_coded, "info": _info_coded}
+
+
 @dataclass
 class DistanceMatrix:
     labels: list
@@ -89,7 +138,11 @@ class DistanceMatrix:
 
 def distance_matrix(backend, items, measure: str = "ncd",
                     labels=None) -> DistanceMatrix:
-    """Pairwise distances; each unordered pair is computed once and mirrored."""
+    """Pairwise distances; each unordered pair is computed once and mirrored.
+
+    Each item is coded once; each pair, the diagonal included, then codes
+    one joint for ncd and two for nid and info.
+    """
     items = list(items)
     if len(items) < 2:
         raise ValueError("need at least 2 items")
@@ -97,20 +150,23 @@ def distance_matrix(backend, items, measure: str = "ncd",
         raise ValueError(f"measure must be one of {MEASURES}")
     if labels is None:
         labels = [f"item{i}" for i in range(len(items))]
-    fn = _MEASURE_FN[measure]
+    fn = _CODED_FN[measure]
     n = len(items)
     values = np.zeros((n, n))
-    for i in range(n):
+    coded = []
+
+    def entry(i, j):
         try:
-            values[i, i] = fn(backend, items[i], items[i])
-        except (UndefinedDistanceError, ValueError) as exc:
-            raise type(exc)(f"pair ({i}, {i}): {exc}") from exc
-    for i, j in combinations(range(n), 2):
-        try:
-            d = fn(backend, items[i], items[j])
+            _check(items[i], items[j])
+            return fn(backend, coded[i], coded[j])
         except (UndefinedDistanceError, ValueError) as exc:
             raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-        values[i, j] = values[j, i] = d
+
+    for i, x in enumerate(items):
+        coded.append(_code(backend, x))
+        values[i, i] = entry(i, i)
+    for i, j in combinations(range(n), 2):
+        values[i, j] = values[j, i] = entry(i, j)
     return DistanceMatrix(list(labels), values, measure)
 
 
@@ -144,9 +200,11 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
     if not 0 <= neighborhood_len <= MAX_NEIGHBORHOOD_LEN:
         raise ValueError(
             f"neighborhood_len must be in 0..{MAX_NEIGHBORHOOD_LEN}")
-    fn = _MEASURE_FN[measure]
+    fn = _CODED_FN[measure]
+    cx = _code(backend, x)
     total = 0.0
     for y in bitutil.all_of_length(neighborhood_len):
         if y != x:
-            total += 2.0 ** (-fn(backend, x, y))
+            _check(x, y)
+            total += 2.0 ** (-fn(backend, cx, _code(backend, y)))
     return total

@@ -1,15 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bitmine import (KTBackend, TransactionSet, UndefinedDistanceError,
-                     code_len, cond_code_len, distance_matrix, gen_random,
-                     info_dist, kraft_diagnostic, ncd, nid_estimate,
-                     triangle_violation_rate)
+from bitmine import (ExternalBackend, KTBackend, LZBackend, TransactionSet,
+                     UndefinedDistanceError, code_len, cond_code_len,
+                     distance_matrix, gen_random, info_dist, kraft_diagnostic,
+                     ncd, nid_estimate, triangle_violation_rate)
 from bitmine import bits as bitutil
-from bitmine.distance import MAX_NEIGHBORHOOD_LEN, DistanceMatrix
+from bitmine.distance import _MEASURE_FN, MAX_NEIGHBORHOOD_LEN, DistanceMatrix
 
 
 def random_bits(rng, n):
@@ -99,12 +100,19 @@ class TestMatrix:
         m = distance_matrix(kt0, items, "nid")
         assert np.array_equal(m.values, m.values.T)
 
-    def test_matches_individual_calls(self, kt0):
-        corpus = list(gen_random(10, (24, 32), 5))
-        m = distance_matrix(kt0, corpus, "ncd")
-        for i in range(10):
-            for j in range(10):
-                assert m.values[i, j] == ncd(kt0, corpus[i], corpus[j])
+    def test_matches_individual_calls(self):
+        # length-1 items, a constant string and equal-length distinct items
+        # (the canonical joint's lexicographic tie-break) beside random ones
+        corpus = (list(gen_random(10, (24, 32), 5))
+                  + ["0", "1", "0" * 30, "0110", "1001", "0110"])
+        n = len(corpus)
+        for backend in (KTBackend(0), KTBackend(1), KTBackend(3), LZBackend()):
+            for measure, fn in _MEASURE_FN.items():
+                m = distance_matrix(backend, corpus, measure)
+                for i in range(n):
+                    for j in range(n):
+                        ref = fn(backend, corpus[min(i, j)], corpus[max(i, j)])
+                        assert m.values[i, j] == ref, (backend, measure, i, j)
 
     def test_needs_two_items(self, kt0):
         with pytest.raises(ValueError):
@@ -113,6 +121,65 @@ class TestMatrix:
     def test_unknown_measure(self, kt0):
         with pytest.raises(ValueError):
             distance_matrix(kt0, ["01", "10"], "euclid")
+
+
+class _Counting:
+    """A backend that delegates to another and counts the calls it gets."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def extend(self, state, bits, cost=0.0):
+        self.calls["extend"] += 1
+        if state == self.inner.initial_state():
+            self.calls["extend_from_initial"] += 1
+        return self.inner.extend(state, bits, cost)
+
+    def extend_cost(self, state, bits, cost=0.0):
+        self.calls["extend_cost"] += 1
+        return self.inner.extend_cost(state, bits, cost)
+
+    def code_len(self, x):
+        self.calls["code_len"] += 1
+        return self.inner.code_len(x)
+
+
+@pytest.mark.parametrize("measure", ["ncd", "nid", "info"])
+def test_matrix_codes_each_item_once(measure):
+    corpus = list(gen_random(7, (8, 24), 3)) + ["1"]
+    n = len(corpus)
+    backend = _Counting(KTBackend(1))
+    distance_matrix(backend, corpus, measure)
+    assert backend.calls["extend"] == backend.calls["extend_from_initial"] == n
+    assert backend.calls["code_len"] == 0
+    # per unordered pair, the diagonal included: one canonical joint for
+    # ncd, both conditionals for nid and info
+    pairs = n * (n + 1) // 2
+    joints = pairs if measure == "ncd" else 2 * pairs
+    assert backend.calls["extend_cost"] == joints
+
+
+def test_external_matrix_runs_the_command_once_per_item_and_joint(monkeypatch):
+    backend = ExternalBackend("cat")
+    calls = []
+
+    def fake_code_len(x):
+        calls.append(x)
+        return 8.0 * (1 + x.count("1") // 3)
+
+    monkeypatch.setattr(backend, "code_len", fake_code_len)
+    corpus = list(gen_random(6, (8, 16), 4))
+    n = len(corpus)
+    m = distance_matrix(backend, corpus, "ncd")
+    assert len(calls) == n + n * (n + 1) // 2
+    for i in range(n):
+        for j in range(n):
+            assert m.values[i, j] == ncd(backend, corpus[min(i, j)],
+                                         corpus[max(i, j)])
 
 
 def test_triangle_violation_rate_is_a_rate(kt0):
@@ -151,6 +218,18 @@ def test_triangle_violation_rate_equals_the_triple_loop(n):
 def test_kraft_diagnostic_runs(kt0):
     total = kraft_diagnostic(kt0, "01010101", 4, "nid")
     assert math.isfinite(total) and total > 0.0
+
+
+@pytest.mark.parametrize("measure", ["nid", "ncd", "info"])
+def test_kraft_diagnostic_equals_the_sum_of_single_pair_distances(measure):
+    fn = _MEASURE_FN[measure]
+    for backend in (KTBackend(0), KTBackend(2), LZBackend()):
+        for x in ("0", "0110", "01011011", "11111"):
+            ref = 0.0
+            for y in bitutil.all_of_length(5):
+                if y != x:
+                    ref += 2.0 ** (-fn(backend, x, y))
+            assert kraft_diagnostic(backend, x, 5, measure) == ref
 
 
 def test_kraft_diagnostic_refuses_an_over_budget_neighborhood(kt0, monkeypatch):
