@@ -232,10 +232,11 @@ def _cmd_ncd(args) -> int:
         items, labels = [], []
         for path in args.inputs:
             with open(path, "rb") as fh:
-                items.append(bitutil.from_bytes(fh.read()))
+                data = fh.read()
+            if not data:
+                raise textio.DataFormatError(f"{path}: empty file")
+            items.append(bitutil.from_bytes(data))
             labels.append(path)
-    if len(items) < 2:
-        raise UsageError("need at least 2 items")
     matrix = distance_matrix(backend, items, args.measure, labels)
     header = _backend_header(args)
     header["measure"] = args.measure

@@ -33,10 +33,18 @@ from .codelength import cond_code_len, joint_code_len_canonical
 MEASURES = ("nid", "ncd", "info")
 # Budget cap of kraft_diagnostic, which evaluates 2**neighborhood_len distances.
 MAX_NEIGHBORHOOD_LEN = 16
+# Budget cap of distance_matrix: n items code n(n+1)/2 joints into an n x n
+# float matrix, so 2048 items are at most 2.1 M joints and 32 MB.
+MAX_MATRIX_ITEMS = 2048
 
 
 class UndefinedDistanceError(Exception):
     """Both operands have zero code length; the quotient is undefined."""
+
+
+def _check_measure(measure: str):
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be one of {MEASURES}")
 
 
 def _check(a: str, b: str):
@@ -141,13 +149,16 @@ def distance_matrix(backend, items, measure: str = "ncd",
     """Pairwise distances; each unordered pair is computed once and mirrored.
 
     Each item is coded once; each pair, the diagonal included, then codes
-    one joint for ncd and two for nid and info.
+    one joint for ncd and two for nid and info.  At most
+    ``MAX_MATRIX_ITEMS`` items, checked before any item is coded.
     """
     items = list(items)
     if len(items) < 2:
         raise ValueError("need at least 2 items")
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}")
+    if len(items) > MAX_MATRIX_ITEMS:
+        raise ValueError(f"{len(items)} items, over the cap of "
+                         f"{MAX_MATRIX_ITEMS} for a distance matrix")
+    _check_measure(measure)
     if labels is None:
         labels = [f"item{i}" for i in range(len(items))]
     fn = _CODED_FN[measure]
@@ -195,11 +206,12 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
 
     A normalized metric would keep this at most 1; approximations need not.
     Exponential in neighborhood_len, which must be in
-    0..``MAX_NEIGHBORHOOD_LEN``.
+    1..``MAX_NEIGHBORHOOD_LEN``.
     """
-    if not 0 <= neighborhood_len <= MAX_NEIGHBORHOOD_LEN:
+    if not 1 <= neighborhood_len <= MAX_NEIGHBORHOOD_LEN:
         raise ValueError(
-            f"neighborhood_len must be in 0..{MAX_NEIGHBORHOOD_LEN}")
+            f"neighborhood_len must be in 1..{MAX_NEIGHBORHOOD_LEN}")
+    _check_measure(measure)
     fn = _CODED_FN[measure]
     cx = _code(backend, x)
     total = 0.0

@@ -8,12 +8,14 @@ state by its n new bits, so the miner keeps one coder state per surviving
 pattern, with the transactions it occurs in where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
-the result equals the full frequent set.  For the same reason a child is
-only counted on the transactions where its parent occurs.
+the result equals the full frequent set, in either mode.  For the same
+reason ``support`` counts a child only on the transactions where its
+parent occurs.
 
 Non-monotone backends (the external adapter) are only admitted in heuristic
-mode, where the output is flagged approximate; a child is then counted on
-every transaction and no occurrence lists are kept.
+mode, where the output is flagged approximate: ``support`` then counts a
+child on every transaction, but the child of an infrequent parent is never
+generated.
 """
 
 from __future__ import annotations
@@ -123,50 +125,44 @@ def _prefilter(backend, params, candidates, max_len_y, code_len):
     return [x for x in candidates if code_len(x) <= bound]
 
 
-def _split(x, step_bits):
-    """(parent, suffix) of a candidate: the suffix is its last ``step_bits``
-    bits, or all of a seed-level candidate, whose parent is empty."""
-    cut = max(0, len(x) - step_bits)
-    return x[:cut], x[cut:]
-
-
 def _run_level(backend, params, T, config, candidates, parents, level, start):
     """Code, prefilter and count one level's candidates.
 
     ``parents`` maps each pattern of the frontier to (its coder state, its
     L, its occurrence list or None); a candidate is coded from its parent's
-    state by its last ``step_bits`` bits.  Returns the frequent patterns,
-    the frontier for the next level (in the same form) and the level's
-    ``LevelStats``.  Only the frequent patterns' states are built and
-    kept, so memory follows the frontier, not the candidates.  A child of a
-    monotone backend is counted only on its parent's occurrence list (None,
-    from the KT closed form, stands for every transaction).
+    state by its last ``step_bits`` bits.  A seed candidate is at most
+    ``step_bits`` long, so the same slice gives it the empty parent and all
+    of its bits.  Returns the frequent patterns, the frontier for the next
+    level (in the same form) and the level's ``LevelStats``.  Only the
+    frequent patterns' states are built and kept, so memory follows the
+    frontier, not the candidates.  Each candidate's parent and its
+    occurrence list (None, from the KT closed form, stands for every
+    transaction) go to ``support``, which alone decides whether the list
+    may prune.  For the external adapter it never may, so that backend's
+    frontier keeps exact occurrence lists that nothing reads.
     """
-    step = config.step_bits
+    cut = -config.step_bits
 
     def from_parent(x):
-        p, suffix = _split(x, step)
-        state, length, _ = parents[p]
-        return state, length, suffix
+        state, length, _ = parents[x[:cut]]
+        return state, length, x[cut:]
+
+    def parent(x):
+        return x[:cut], parents[x[:cut]][2]
 
     coded = code_strings(backend, candidates, from_parent)
     kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
                       lambda x: coded[x][0])
-    parent = None
-    if backend.monotone:
-        def parent(x):
-            p = _split(x, step)[0]
-            return p, parents[p][2]
     counts = _count_pass(backend, params, T, kept, coded, parent)
     eps = config.resolve_epsilon(len(T))
     frequent = [FrequentPattern(x, c, coded[x][0], level)
                 for x, c in sorted(counts.items()) if c >= eps]
-    found = (counts.occurrences if backend.monotone else None) or {}
+    found = counts.occurrences or {}
     frontier = {}
     for p in frequent:
-        parent_pattern, suffix = _split(p.pattern, step)
-        state = backend.extend(parents[parent_pattern][0], suffix)[0]
-        frontier[p.pattern] = (state, p.code_len, found.get(p.pattern))
+        x = p.pattern
+        state = backend.extend(parents[x[:cut]][0], x[cut:])[0]
+        frontier[x] = (state, p.code_len, found.get(x))
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)
     return frequent, frontier, stats
@@ -204,15 +200,20 @@ def generate(prev_patterns, step_bits: int):
 
 def mine(backend, params: OccurrenceParams, T: TransactionSet,
          config: MiningConfig) -> MiningResult:
-    """Run the full level-wise search and return all frequent patterns."""
+    """Run the full level-wise search and return all frequent patterns,
+    sorted by (level, pattern).
+
+    The result is flagged approximate, with a warning, exactly when the
+    backend is not monotone; sound mode refuses such a backend.
+    """
     if config.mode == "sound" and not backend.monotone:
         raise ValueError(
             "sound mode requires a monotone backend; use mode='heuristic' "
             "with the external adapter")
-    approximate = config.mode == "heuristic"
+    approximate = not backend.monotone
     if approximate:
-        warnings.warn("heuristic mode: pruning is best-effort, result may be "
-                      "incomplete", stacklevel=2)
+        warnings.warn("non-monotone backend: pruning is best-effort, "
+                      "result may be incomplete", stacklevel=2)
 
     frequent, frontier, seed_stats = _seed(backend, params, T, config)
     found = list(frequent)
@@ -236,6 +237,5 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
         found.extend(frequent)
         stats.append(level_stats)
 
-    found.sort(key=lambda p: (p.level, p.pattern))
     return MiningResult(found, truncated=truncated, approximate=approximate,
                         levels=level, stats=stats)

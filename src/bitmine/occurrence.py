@@ -16,8 +16,9 @@ transaction.  ``support`` counts many candidates at once.  For the KT
 backend it evaluates L(y||x) - L(y) in closed form with numpy and hands
 every pair within ``REDECIDE_TOL`` of the noise threshold back to the
 sequential coder, so its decisions equal those of ``frequency``.  Every
-other backend (LZ, the external adapter) is counted with the sequential
-coder, parent by parent, on the transactions where the parent occurs.
+other backend is counted with the sequential coder: LZ parent by parent,
+on the transactions where the parent occurs; the non-monotone external
+adapter on every transaction.
 """
 
 from __future__ import annotations
@@ -234,9 +235,11 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     by parent (``_count_by_parent``): ``parent`` maps x to (p, occ), a
     prefix p of x and the transaction indices where p occurs (None: every
     transaction).  With a monotone backend x can only occur where p does,
-    so the transactions outside occ are skipped.  Without ``parent`` every
-    x is its own child of the empty prefix.  Counts do not depend on
-    grouping.
+    so the transactions outside occ are skipped.  This is the one place
+    that decides whether occ may prune: a non-monotone backend's
+    ``parent`` is ignored, and every x is counted on every transaction as
+    its own child of the empty prefix, as without ``parent``.  Counts do
+    not depend on grouping.
     """
     if coded is None:
         candidates = list(candidates)
@@ -256,8 +259,9 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     if counts is not None:
         pairs = len(members) * len(cache.items)
     else:
-        found, pairs = _count_by_parent(backend, _limits(params, cache), cache,
-                                        [xs[0] for xs in members], lens, parent)
+        found, pairs = _count_by_parent(
+            backend, _limits(params, cache), cache, [xs[0] for xs in members],
+            lens, parent if backend.monotone else None)
         counts = [len(ts) for ts in found]
     result = Support((x, int(n)) for xs, n in zip(members, counts) for x in xs)
     result.groups, result.pairs = len(members), pairs

@@ -164,6 +164,13 @@ class TestNcd:
         f.write_text("0101\n")
         assert main(["ncd", str(f)]) == 1
 
+    def test_empty_input_file_is_data_error(self, tmp_path, capsys):
+        a, empty = tmp_path / "a.bin", tmp_path / "empty.bin"
+        a.write_bytes(b"aaaaaaaaaa")
+        empty.write_bytes(b"")
+        assert main(["ncd", str(a), str(empty), str(a)]) == 2
+        assert str(empty) in capsys.readouterr().err
+
     def test_unknown_measure_is_usage_error(self):
         assert main(["ncd", str(FIXTURES / "corpus10.txt"),
                      "--measure", "hamming"]) == 1

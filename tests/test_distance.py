@@ -10,6 +10,7 @@ from bitmine import (ExternalBackend, KTBackend, LZBackend, TransactionSet,
                      distance_matrix, gen_random, info_dist, kraft_diagnostic,
                      ncd, nid_estimate, triangle_violation_rate)
 from bitmine import bits as bitutil
+from bitmine import distance
 from bitmine.distance import _MEASURE_FN, MAX_NEIGHBORHOOD_LEN, DistanceMatrix
 
 
@@ -239,3 +240,25 @@ def test_kraft_diagnostic_refuses_an_over_budget_neighborhood(kt0, monkeypatch):
     monkeypatch.setattr(bitutil, "all_of_length", refuse)
     with pytest.raises(ValueError, match="neighborhood_len"):
         kraft_diagnostic(kt0, "01", MAX_NEIGHBORHOOD_LEN + 1)
+
+
+def test_kraft_diagnostic_refuses_an_empty_neighborhood(kt0):
+    with pytest.raises(ValueError, match="neighborhood_len must be in 1.."):
+        kraft_diagnostic(kt0, "01", 0)
+
+
+def test_kraft_diagnostic_refuses_an_unknown_measure(kt0):
+    with pytest.raises(ValueError, match="measure must be one of"):
+        kraft_diagnostic(kt0, "01", 4, "hamming")
+
+
+def test_matrix_over_the_item_cap_is_refused_before_coding(kt0, monkeypatch):
+    def refuse(backend, x):
+        raise AssertionError("item coded despite the cap")
+
+    monkeypatch.setattr(distance, "MAX_MATRIX_ITEMS", 3)
+    monkeypatch.setattr(distance, "_code", refuse)
+    with pytest.raises(ValueError, match="4 items, over the cap of 3"):
+        distance_matrix(kt0, ["0", "1", "01", "10"])
+    with pytest.raises(AssertionError, match="despite the cap"):
+        distance_matrix(kt0, ["0", "1", "01"])

@@ -1,6 +1,8 @@
+import warnings
+
 import pytest
 
-from bitmine import (ExternalBackend, MiningConfig, OccurrenceParams,
+from bitmine import (ExternalBackend, KTBackend, LZBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
                      frequency, gen_random, generate, mine, seed_level0)
 from bitmine import miner
@@ -180,6 +182,28 @@ class TestMine:
                        MiningConfig(epsilon=4, step_bits=2, mode="heuristic",
                                     max_level=2))
         assert res.approximate is True
+
+    @pytest.mark.parametrize("backend", [KTBackend(0), KTBackend(2), LZBackend()],
+                             ids=["kt0", "kt2", "lz"])
+    def test_heuristic_mode_on_a_monotone_backend_is_exact(
+            self, backend, fixture_transactions):
+        sound = mine(backend, SCALE, fixture_transactions,
+                     MiningConfig(epsilon=4, step_bits=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mine(backend, SCALE, fixture_transactions,
+                       MiningConfig(epsilon=4, step_bits=2, mode="heuristic"))
+        assert res.approximate is False
+        assert res.as_dict() == sound.as_dict() and len(res) > 0
+
+    @pytest.mark.parametrize("backend", [KTBackend(1), LZBackend()],
+                             ids=["kt1", "lz"])
+    def test_patterns_are_in_level_then_pattern_order(self, backend,
+                                                      fixture_transactions):
+        res = mine(backend, SCALE, fixture_transactions,
+                   MiningConfig(epsilon=3, step_bits=2))
+        keys = [(p.level, p.pattern) for p in res]
+        assert res.levels >= 2 and keys == sorted(keys)
 
     def test_heuristic_external_counts_every_transaction(self):
         # The external backend is not monotone: a child may occur where its

@@ -248,6 +248,17 @@ class TestSupportByParent:
         assert counts.groups == len(xs) and counts.pairs < len(xs) * len(items)
         assert len(set(counts.values())) > 1
 
+    def test_external_backend_ignores_parent_occurrence_lists(self):
+        # Not monotone: a child may occur where its parent does not, so the
+        # parent lists given must not prune the count.
+        ext = ExternalBackend("cat")
+        items = ["0110" * 4, "1" * 16, "01101001" * 4, "001" * 10, "1" * 7]
+        T = TransactionSet(items)
+        xs = ["0", "1", "01", "10", "110"]
+        counts = support(ext, SCALE, T, xs, parent=lambda x: ("", [0]))
+        for x in xs:
+            assert counts[x] == frequency(ext, SCALE, T, x), x
+
     def test_pairs_priced_follow_the_occurrence_lists(self, lz, fixture_transactions):
         # a pair is priced where the parent occurs and L(x) passes entropy
         # reduction, and nowhere else
