@@ -16,8 +16,8 @@ from .datagen import (PlantSpec, Xorshift64Star, gen_planted, gen_random,
 from .distance import (DistanceMatrix, UndefinedDistanceError, distance_matrix,
                        info_dist, kraft_diagnostic, ncd, nid_estimate,
                        triangle_violation_rate)
-from .miner import (FrequentPattern, LevelStats, MiningConfig, MiningResult,
-                    generate, mine, seed_level0)
+from .miner import (FrequentPattern, LevelCapError, LevelStats, MiningConfig,
+                    MiningResult, generate, mine, seed_level0)
 from .occurrence import (OccurrenceParams, PredicateError, TransactionSet,
                          frequency, occurs, support)
 from .oracle import IncompleteEnumerationError, OracleConfig, enumerate_frequent
@@ -30,8 +30,8 @@ __all__ = [
     "make_backend",
     "OccurrenceParams", "PredicateError", "TransactionSet", "frequency", "occurs",
     "support",
-    "FrequentPattern", "LevelStats", "MiningConfig", "MiningResult", "generate", "mine",
-    "seed_level0",
+    "FrequentPattern", "LevelCapError", "LevelStats", "MiningConfig", "MiningResult",
+    "generate", "mine", "seed_level0",
     "IncompleteEnumerationError", "OracleConfig", "enumerate_frequent",
     "DistanceMatrix", "UndefinedDistanceError", "distance_matrix", "info_dist",
     "kraft_diagnostic", "ncd", "nid_estimate", "triangle_violation_rate",

@@ -19,7 +19,8 @@ from . import textio
 from .codelength import EstimationError, make_backend
 from .datagen import DEFAULT_MOTIF, PlantSpec, gen_planted, gen_random
 from .distance import MEASURES, UndefinedDistanceError, distance_matrix
-from .miner import MAX_STEP_BITS, FrequentPattern, MiningConfig, mine
+from .miner import (MAX_STEP_BITS, FrequentPattern, LevelCapError,
+                    MiningConfig, mine)
 from .occurrence import OccurrenceParams, PredicateError, TransactionSet
 from .oracle import MAX_LEN, IncompleteEnumerationError, OracleConfig, enumerate_frequent
 
@@ -169,7 +170,14 @@ def _cmd_mine(args) -> int:
                           step_bits=args.step_bits, max_level=args.max_level,
                           mode=args.mode)
     T = _load_transactions(args.input)
-    result = mine(backend, params, T, config)
+    try:
+        result = mine(backend, params, T, config)
+    except LevelCapError as exc:
+        # the levels run, then the refused one, still go to --stats
+        refused = {"level": exc.level, "candidates": exc.size,
+                   "cap": exc.cap, "refused": True}
+        _write_stats(args.stats, exc.stats, refused)
+        raise
     header = _backend_header(args)
     header.update(_threshold_header(args))
     header.update(epsilon=args.epsilon, step_bits=args.step_bits,
@@ -177,10 +185,16 @@ def _cmd_mine(args) -> int:
                   input=os.path.basename(args.input),
                   approximate=result.approximate, truncated=result.truncated)
     _write(args.out, textio.format_result(result.patterns, header))
-    if args.stats is not None:
-        _write(args.stats, json.dumps(
-            [dataclasses.asdict(level) for level in result.stats], indent=1) + "\n")
+    _write_stats(args.stats, result.stats)
     return EXIT_OK
+
+
+def _write_stats(path, stats, *extra):
+    """Write one JSON record per ``LevelStats``, then ``extra``, to
+    ``--stats`` (if given)."""
+    if path is not None:
+        records = [dataclasses.asdict(level) for level in stats] + list(extra)
+        _write(path, json.dumps(records, indent=1) + "\n")
 
 
 def _cmd_oracle(args) -> int:

@@ -60,6 +60,16 @@ def kt_log_tables(size: int):
     return tables[0], tables[1]
 
 
+# The KT step cost -log2((c + 1/2) / (n + 1)) is log2(2n + 2) - log2(2c + 1)
+# for a context seen n = c0 + c1 times, c of them with the coded bit.  Both
+# terms are read from these fixed lists while n < _KT_LOG2_LEN, and from
+# math.log2 beyond; the lists hold math.log2 of the same integers, so either
+# way the step cost is the same float.  They never grow.
+_KT_LOG2_LEN = 1 << 10
+_KT_LOG2_TOTAL = [math.log2(2 * n + 2) for n in range(_KT_LOG2_LEN)]
+_KT_LOG2_COUNT = [math.log2(2 * c + 1) for c in range(_KT_LOG2_LEN)]
+
+
 class KTState(NamedTuple):
     """Adaptive estimator state: recent context plus per-context bit counts
     (a tuple, which is cheaper to build than a dataclass)."""
@@ -73,7 +83,10 @@ class KTBackend:
     Order 0 codes bit i at -log2((count of that bit so far + 1/2) / i).
     Order k keeps separate counts per context of the previous k bits; at the
     start of a string (or after a short context) the available shorter
-    history is used as its own context.
+    history is used as its own context.  ``extend`` and ``extend_cost``
+    share one loop, ``_walk``, which reads each step cost's two log2 terms
+    from fixed module-level tables (``math.log2`` past their end, with the
+    same floats); ``extend_cost`` never copies a state's counts.
     """
 
     kind = "kt"
@@ -95,6 +108,35 @@ class KTBackend:
     def initial_state(self) -> KTState:
         return KTState("", {})
 
+    def _walk(self, ctx: str, counts: dict, new: dict, bits: str,
+              cost: float):
+        """Code ``bits`` after context ``ctx``; return (context after them,
+        cost + their cost).  A context's counts are read from ``new``,
+        else from ``counts``, and its updated counts are written to
+        ``new`` only (``extend`` passes its copy of the counts as both)."""
+        order = self.order
+        total, count, log2 = _KT_LOG2_TOTAL, _KT_LOG2_COUNT, math.log2
+        for ch in bits:
+            # a count pair is never empty, so ``or`` falls through only on
+            # a context ``new`` does not hold
+            c0, c1 = new.get(ctx) or counts.get(ctx, (0, 0))
+            n = c0 + c1
+            if ch == "1":
+                try:
+                    cost += total[n] - count[c1]
+                except IndexError:
+                    cost += log2(2 * n + 2) - log2(2 * c1 + 1)
+                new[ctx] = (c0, c1 + 1)
+            else:
+                try:
+                    cost += total[n] - count[c0]
+                except IndexError:
+                    cost += log2(2 * n + 2) - log2(2 * c0 + 1)
+                new[ctx] = (c0 + 1, c1)
+            if order:
+                ctx = ctx[1 - order:] + ch if order > 1 else ch
+        return ctx, cost
+
     def extend(self, state: KTState, bits: str,
                cost: float = 0.0) -> tuple[KTState, float]:
         """Code ``bits`` after ``state`` without mutating it; return
@@ -102,27 +144,19 @@ class KTBackend:
 
         Passing the code length of the string coded so far as ``cost``
         continues its running float sum, so the result is bit-identical to
-        coding the whole string from the initial state.
+        coding the whole string from the initial state.  state' gets one
+        copy of the state's counts, which the walk updates in place.
         """
-        order = self.order
-        ctx = state.context
-        counts = dict(state.counts)
-        log2 = math.log2
-        for ch in bits:
-            b = ch == "1"
-            c0, c1 = counts.get(ctx, (0, 0))
-            # -log2 of the add-1/2 probability (c + 1/2) / (c0 + c1 + 1)
-            cost += log2(2 * (c0 + c1) + 2) - log2(2 * (c1 if b else c0) + 1)
-            counts[ctx] = (c0, c1 + 1) if b else (c0 + 1, c1)
-            if order:
-                ctx = ctx[1 - order:] + ch if order > 1 else ch
+        counts = state.counts.copy()
+        ctx, cost = self._walk(state.context, counts, counts, bits, cost)
         return KTState(ctx, counts), cost
 
     def extend_cost(self, state: KTState, bits: str, cost: float = 0.0) -> float:
-        """``cost`` plus the cost of coding ``bits`` after ``state`` (the
-        state is not kept); continues ``cost``'s running sum like
-        ``extend``."""
-        return self.extend(state, bits, cost)[1]
+        """``cost`` plus the cost of coding ``bits`` after ``state``;
+        continues ``cost``'s running sum like ``extend``.  No state is
+        built: the walk reads the state's counts and writes the contexts
+        it touches to a local dict."""
+        return self._walk(state.context, state.counts, {}, bits, cost)[1]
 
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)

@@ -93,6 +93,20 @@ class LevelStats:
     seconds: float   # wall time of the whole level
 
 
+class LevelCapError(ValueError):
+    """A level would generate more than ``MAX_LEVEL_CANDIDATES`` candidates.
+
+    Carries what the search did before it stopped: ``stats``, the
+    ``LevelStats`` of every level run, and the refused ``level``, its
+    ``size`` (the candidates it would generate) and the ``cap``.
+    """
+
+    def __init__(self, level: int, size: int, cap: int, stats: list):
+        super().__init__(f"level {level} would generate {size} candidates, "
+                         f"over the cap of {cap}")
+        self.level, self.size, self.cap, self.stats = level, size, cap, stats
+
+
 @dataclass
 class MiningResult:
     patterns: list  # FrequentPattern, sorted by (level, pattern)
@@ -204,7 +218,9 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
     sorted by (level, pattern).
 
     The result is flagged approximate, with a warning, exactly when the
-    backend is not monotone; sound mode refuses such a backend.
+    backend is not monotone; sound mode refuses such a backend.  A level
+    over ``MAX_LEVEL_CANDIDATES`` raises ``LevelCapError``, which carries
+    the stats of the levels already run.
     """
     if config.mode == "sound" and not backend.monotone:
         raise ValueError(
@@ -227,9 +243,7 @@ def mine(backend, params: OccurrenceParams, T: TransactionSet,
         level += 1
         size = len(frequent) << config.step_bits
         if size > MAX_LEVEL_CANDIDATES:
-            raise ValueError(
-                f"level {level} would generate {size} candidates, over the "
-                f"cap of {MAX_LEVEL_CANDIDATES}")
+            raise LevelCapError(level, size, MAX_LEVEL_CANDIDATES, stats)
         start = time.perf_counter()
         candidates = generate(frequent, config.step_bits)
         frequent, frontier, level_stats = _run_level(

@@ -85,6 +85,7 @@ class _Coded:
     lengths: list   # L(y) per transaction
     states: list    # coder state after y per transaction
     kt: object = None  # _KTCounts, built by the first closed-form count
+    kt_refused: bool = False  # the count tables were found too large
 
 
 def _check_items(items):
@@ -319,13 +320,14 @@ class _KTCounts:
 
 def _kt_counts(coded: _Coded):
     """The count tables of a KT-coded set, or None when they exceed
-    ``_KT_TABLE_MAX`` elements."""
-    if coded.kt is None:
+    ``_KT_TABLE_MAX`` elements (decided once per set)."""
+    if coded.kt is None and not coded.kt_refused:
         rows: dict = {}
         for state in coded.states:
             for ctx in state.counts:
                 rows.setdefault(ctx, len(rows))
         if (len(rows) + 1) * len(coded.states) > _KT_TABLE_MAX:
+            coded.kt_refused = True
             return None
         zeros = np.zeros((len(rows) + 1, len(coded.states)), dtype=np.intp)
         ones = np.zeros_like(zeros)

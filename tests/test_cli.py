@@ -55,6 +55,22 @@ class TestMine:
         assert main(["mine", DATASET, *MINE_FLAGS]) == 1
         assert "over the cap of 1" in capsys.readouterr().err
 
+    def test_refused_level_still_writes_stats(self, monkeypatch, tmp_path):
+        # levels 0-2 generate 6, 24 and 96 candidates; level 3 would
+        # generate 384
+        monkeypatch.setattr("bitmine.miner.MAX_LEVEL_CANDIDATES", 100)
+        out, stats = tmp_path / "result.txt", tmp_path / "stats.json"
+        assert main(["mine", DATASET, *MINE_FLAGS, "--out", str(out),
+                     "--stats", str(stats)]) == 1
+        assert not out.exists()
+        records = json.loads(read(stats))
+        assert [r["candidates"] for r in records] == [6, 24, 96, 384]
+        assert [r["level"] for r in records] == [0, 1, 2, 3]
+        assert records[-1] == {"level": 3, "candidates": 384, "cap": 100,
+                               "refused": True}
+        assert all(set(r) == {"level", "candidates", "kept", "groups", "pairs",
+                              "frequent", "seconds"} for r in records[:-1])
+
     def test_threads_do_not_change_output_bytes(self, tmp_path):
         outs = []
         for threads in ("1", "8"):

@@ -11,6 +11,8 @@ from bitmine import (EstimationError, ExternalBackend, KTBackend, LZBackend,
                      code_len, cond_code_len, joint_code_len,
                      joint_code_len_canonical, make_backend)
 from bitmine import bits as bitutil
+from bitmine import codelength
+from bitmine.codelength import KTState
 
 from conftest import kt0_len_exact, ktk_len_exact, lz_len_exact
 
@@ -63,6 +65,8 @@ class TestKT:
         rng = random.Random(21)
         xs = ["".join(rng.choices("01", k=100_000)) for _ in range(2)]
         kt3 = KTBackend(order=3)
+        tables = (codelength._KT_LOG2_TOTAL, codelength._KT_LOG2_COUNT)
+        sizes = [len(table) for table in tables]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -73,6 +77,8 @@ class TestKT:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
+        # counts reach about 12,500 per context, far past the log2 tables
+        assert [len(table) for table in tables] == sizes
 
     @given(x=bitstrings)
     def test_signature_groups_cost_equal_strings(self, x):
@@ -238,6 +244,68 @@ def test_extension_from_a_prefix_state_is_bit_identical(backend, a, b):
     state, length = backend.extend(state, b, cost=len_a)
     assert length == backend.code_len(a + b)
     assert backend.signature(a + b, state) == backend.signature(a + b)
+
+
+def _kt_reference_extend(order, state, bits, cost=0.0):
+    # the per-bit definition: copy the counts, call math.log2 at every step
+    ctx, counts = state.context, dict(state.counts)
+    for ch in bits:
+        b = ch == "1"
+        c0, c1 = counts.get(ctx, (0, 0))
+        cost += math.log2(2 * (c0 + c1) + 2) - math.log2(2 * (c1 if b else c0) + 1)
+        counts[ctx] = (c0, c1 + 1) if b else (c0 + 1, c1)
+        if order:
+            ctx = ctx[1 - order:] + ch if order > 1 else ch
+    return KTState(ctx, counts), cost
+
+
+def _check_kt_against_reference(order, a, b):
+    # from the state after a, continuing L(a)'s running sum
+    kt = KTBackend(order)
+    state, len_a = kt.extend(kt.initial_state(), a)
+    ref_state, ref_len_a = _kt_reference_extend(order, KTState("", {}), a)
+    assert state == ref_state and len_a == ref_len_a
+    snapshot = dict(state.counts)
+    new_state, length = kt.extend(state, b, len_a)
+    ref_new_state, ref_length = _kt_reference_extend(order, state, b, len_a)
+    assert length == ref_length
+    assert new_state == ref_new_state
+    assert list(new_state.counts) == list(ref_new_state.counts)
+    assert kt.extend_cost(state, b, len_a) == ref_length
+    assert kt.extend_cost(state, b) == _kt_reference_extend(order, state, b)[1]
+    assert state.counts == snapshot  # neither call wrote the state's counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(0, 4), a=st.text(alphabet="01", max_size=64),
+       b=st.text(alphabet="01", max_size=24))
+def test_kt_coder_equals_the_per_bit_log2_reference(order, a, b):
+    _check_kt_against_reference(order, a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(order=st.integers(0, 4), bit=st.sampled_from("01"),
+       a=st.text(alphabet="01", max_size=16),
+       b=st.text(alphabet="01", max_size=24))
+def test_kt_coder_past_the_table_end_equals_the_reference(order, bit, a, b):
+    # 2,100 equal bits take one context's count past the 1,024-entry tables,
+    # so the step costs after it come from the math.log2 fallback
+    assert codelength._KT_LOG2_LEN < 2_100
+    _check_kt_against_reference(order, bit * 2_100 + a, b)
+
+
+def test_kt_coder_with_tiny_tables_equals_the_reference(monkeypatch):
+    # tables of 3 entries: every string crosses the fallback boundary
+    monkeypatch.setattr(codelength, "_KT_LOG2_TOTAL",
+                        codelength._KT_LOG2_TOTAL[:3])
+    monkeypatch.setattr(codelength, "_KT_LOG2_COUNT",
+                        codelength._KT_LOG2_COUNT[:3])
+    rng = random.Random(22)
+    for order in range(5):
+        for _ in range(40):
+            a = "".join(rng.choices("01", k=rng.randint(0, 40)))
+            b = "".join(rng.choices("01", k=rng.randint(0, 20)))
+            _check_kt_against_reference(order, a, b)
 
 
 def test_kt_signature_keys_counts_after_the_head():

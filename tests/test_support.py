@@ -53,6 +53,33 @@ def test_count_tables_over_budget_take_the_sequential_path(monkeypatch):
     assert counts == {x: frequency(backend, params, T, x) for x in candidates}
 
 
+class _ScannedCounts(dict):
+    """Counts that record every iteration over their contexts."""
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def test_count_tables_are_refused_once_per_set(monkeypatch):
+    T = gen_random(6, (12, 20), 3)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    candidates = [format(v, "04b") for v in range(16)]
+    backend = KTBackend(2)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 0)
+    monkeypatch.setattr(_ScannedCounts, "scans", 0)
+    coded = T.cached(backend)
+    coded.states[:] = [s._replace(counts=_ScannedCounts(s.counts))
+                       for s in coded.states]
+    first = support(backend, params, T, candidates)
+    assert _ScannedCounts.scans == len(T)  # one scan of each state's contexts
+    assert coded.kt is None and coded.kt_refused
+    assert support(backend, params, T, candidates) == first
+    assert _ScannedCounts.scans == len(T)  # the refusal was not re-derived
+    assert first == {x: frequency(backend, params, T, x) for x in candidates}
+
+
 @pytest.mark.parametrize("order", [0, 2, 4])
 def test_small_chunks_count_like_frequency(order, monkeypatch):
     # Chunks of one or a few groups, transactions shorter than the order.
