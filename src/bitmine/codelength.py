@@ -24,40 +24,11 @@ import subprocess
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import bits as bitutil
 
 
 class EstimationError(Exception):
     """A backend failed to produce a code length (never silently zero)."""
-
-
-@lru_cache(maxsize=None)
-def kt_log_tables(size: int):
-    """Cumulative tables ``A[m] = sum_{i<m} log2(2i + 1)`` and
-    ``B[m] = sum_{i<m} log2(2i + 2)`` for m < size, as read-only arrays.
-
-    By exchangeability, coding d0 zeros and d1 ones in one context whose
-    counts are (c0, c1) costs, in any order,
-    ``(B[n + d] - B[n]) - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1])``
-    with n = c0 + c1 and d = d0 + d1.  The sums are compensated
-    (Neumaier), so every entry is within about one ulp of its exact value.
-    """
-    tables = []
-    for offset in (1, 2):
-        out = [0.0] * size
-        s = comp = 0.0
-        for i in range(1, size):
-            term = math.log2(2 * (i - 1) + offset)
-            t = s + term
-            comp += (s - t) + term if abs(s) >= term else (term - t) + s
-            s = t
-            out[i] = s + comp
-        arr = np.array(out)
-        arr.flags.writeable = False
-        tables.append(arr)
-    return tables[0], tables[1]
 
 
 # The KT step cost -log2((c + 1/2) / (n + 1)) is log2(2n + 2) - log2(2c + 1)
@@ -291,6 +262,9 @@ class ExternalBackend:
     def __init__(self, command: str, timeout: float = 10.0):
         if not command.strip():
             raise ValueError("external backend needs a non-empty command")
+        if not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
+            raise ValueError(
+                f"external backend timeout must be finite and > 0, not {timeout!r}")
         self.command = command
         self.timeout = timeout
 

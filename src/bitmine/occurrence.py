@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codelength import EstimationError, KTBackend, KTState, kt_log_tables
+from .codelength import EstimationError, KTBackend, KTState
 
 VARIANTS = ("scale-free", "additive")
 
@@ -311,7 +311,6 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
 class _KTCounts:
     """Per-context counts of every transaction, laid out for the kernel."""
     rows: dict        # context -> row; the extra last row is all zero
-    max_count: int    # largest count total n = c0 + c1 of any row
     zeros: np.ndarray  # (rows + 1) x transactions
     ones: np.ndarray
     tails: list       # distinct tail contexts (coder context after y)
@@ -337,8 +336,7 @@ def _kt_counts(coded: _Coded):
             for ctx, (c0, c1) in state.counts.items():
                 zeros[rows[ctx], t], ones[rows[ctx], t] = c0, c1
             tail_of.append(tails.setdefault(state.context, len(tails)))
-        coded.kt = _KTCounts(rows, int((zeros + ones).max()), zeros, ones,
-                             list(tails), np.array(tail_of))
+        coded.kt = _KTCounts(rows, zeros, ones, list(tails), np.array(tail_of))
     return coded.kt
 
 
@@ -361,16 +359,6 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     lengths = np.asarray(coded.lengths)
     n_t = len(coded.states)
     max_x = max(len(xs[0]) for xs in members)
-    top = kt.max_count + max_x
-    A, B = kt_log_tables(1 << top.bit_length())
-    # A group touches at most this many contexts.  Every table entry is
-    # within an ulp of exact, so the closed form's rounding (per_group
-    # entries) and the sequential coder's (max_x steps) are bounded in
-    # units of the largest entry a pair can read.  A context a group does
-    # not touch costs exactly 0: it repeats ``base``, the B - A - A terms
-    # at y's own counts (an entry does not depend on the table's size).
-    per_group = min(max_x, 2 ** (backend.order + 1) - 1)
-    tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
     # Columns are the contexts any group touches.  A group's body holds its
     # signature's counts in full-length contexts (shorter ones lie within
@@ -402,7 +390,27 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     group_head = np.array(group_head)
     rows = np.array([kt.rows.get(ctx, len(kt.rows)) for ctx in cols])
     c0, c1 = kt.zeros[rows], kt.ones[rows]
+    # By exchangeability, coding d0 zeros and d1 ones in a context with
+    # counts (c0, c1) costs, in any order, (B[n + d] - B[n])
+    # - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1]), with n = c0 + c1,
+    # d = d0 + d1 and the prefix sums A[m] = sum_{i<m} log2(2i + 1),
+    # B[m] = sum_{i<m} log2(2i + 2).  No pair reads past top.
+    top = int((c0 + c1).max()) + max_x
+    i = np.arange(top)
+    A = np.concatenate(([0.0], np.cumsum(np.log2(2 * i + 1))))
+    B = np.concatenate(([0.0], np.cumsum(np.log2(2 * i + 2))))
     base = B[c0 + c1] - A[c0] - A[c1]
+    # Every B - A - A term is compared with ``base``, read from the same
+    # tables at y's own counts, so a context a group does not touch costs
+    # exactly 0, and each table's error enters a touched context as
+    # e(m + d) - e(m): for a prefix sum, the rounding of the d additions
+    # between the two entries, at most d ulps of B[top].  A group's
+    # increments sum to |x| <= max_x, and it touches at most per_group
+    # contexts, so the table error, the closed form's own rounding
+    # (per_group terms) and the sequential coder's (max_x steps) are
+    # bounded in units of B[top].
+    per_group = min(max_x, 2 ** (backend.order + 1) - 1)
+    tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
     len_x = np.asarray(lens)
     counts = np.zeros(len(members), dtype=np.intp)

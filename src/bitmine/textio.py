@@ -80,7 +80,8 @@ def emit_transactions(items, encoding: str = "bits") -> str:
 
 # Result files: a header block of "# key: value" lines echoing the full run
 # configuration, then one record per line "pattern count code_len level",
-# sorted by (level, pattern) so outputs are byte-stable under parallelism.
+# sorted by (level, pattern), so the bytes depend only on the run's
+# configuration and input.
 
 _HEADER_ORDER = ("backend", "order", "external_command", "variant", "c1", "c2",
                  "c3", "c4", "epsilon", "step_bits", "max_level", "mode",

@@ -125,6 +125,16 @@ class TestMine:
     def test_unknown_backend_is_usage_error(self):
         assert main(["mine", DATASET, *MINE_FLAGS, "--backend", "zstd"]) == 1
 
+    def test_missing_epsilon_is_usage_error(self, capsys):
+        assert main(["mine", DATASET]) == 1
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_failing_compressor_is_backend_error(self, capsys):
+        with pytest.warns(UserWarning):
+            assert main(["mine", DATASET, "--epsilon", "1", "--backend",
+                         "external:false", "--mode", "heuristic"]) == 3
+        assert "backend error:" in capsys.readouterr().err
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["mine", str(tmp_path / "nope.txt"), *MINE_FLAGS]) == 2
 
@@ -186,6 +196,21 @@ class TestNcd:
         empty.write_bytes(b"")
         assert main(["ncd", str(a), str(empty), str(a)]) == 2
         assert str(empty) in capsys.readouterr().err
+
+    def test_failing_compressor_is_backend_error(self, capsys):
+        assert main(["ncd", str(FIXTURES / "corpus10.txt"),
+                     "--backend", "external:false"]) == 3
+        assert "backend error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    def test_bad_external_timeout_is_refused_before_running(
+            self, tmp_path, capsys, timeout):
+        ran = tmp_path / "ran"
+        assert main(["ncd", str(FIXTURES / "corpus10.txt"), "--backend",
+                     f"external:touch {ran}", "--timeout", timeout]) == 1
+        assert f"timeout must be finite and > 0, not {float(timeout)!r}" in \
+            capsys.readouterr().err
+        assert not ran.exists()
 
     def test_unknown_measure_is_usage_error(self):
         assert main(["ncd", str(FIXTURES / "corpus10.txt"),

@@ -218,6 +218,11 @@ class TestExternal:
         with pytest.raises(ValueError):
             ExternalBackend("  ")
 
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1.0, None])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match=f"timeout .*, not {timeout!r}$"):
+            ExternalBackend("cat", timeout=timeout)
+
 
 def test_make_backend():
     assert isinstance(make_backend("kt", 2), KTBackend)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitmine import (ExternalBackend, KTBackend, LZBackend, OccurrenceParams,
-                     TransactionSet, code_len, frequency, gen_random, occurs,
-                     support)
+from bitmine import (EstimationError, ExternalBackend, KTBackend, LZBackend,
+                     OccurrenceParams, TransactionSet, code_len, frequency,
+                     gen_random, occurs, support)
 from bitmine import bits as bitutil
 from bitmine import occurrence
 
@@ -270,3 +270,22 @@ class TestSupportByParent:
             lz.code_len(p + s) <= SCALE.entropy_bound(lengths[t])
             for p in parents for t in occ[p] for s in bitutil.all_of_length(2))
         assert counts.pairs < 4 * len(parents) * len(items)
+
+
+@pytest.mark.parametrize("count", [
+    frequency, lambda backend, params, T, x: support(backend, params, T, [x])],
+    ids=["frequency", "support"])
+def test_estimation_error_names_the_transaction(count, monkeypatch):
+    # The compressor fails on every string longer than both transactions,
+    # so pricing x after the first transaction already fails.
+    code_len = ExternalBackend.code_len
+
+    def failing(self, x):
+        if len(x) > 16:
+            raise EstimationError("compressor crashed")
+        return code_len(self, x)
+
+    monkeypatch.setattr(ExternalBackend, "code_len", failing)
+    T = TransactionSet(["0110" * 4, "1" * 16])
+    with pytest.raises(EstimationError, match="^transaction 0: compressor crashed$"):
+        count(ExternalBackend("cat"), SCALE, T, "01")

@@ -138,6 +138,57 @@ def test_additive_boundary_decided_like_occurs(order):
     assert flips > 0
 
 
+def _long_boundary_pairs(backend, rng):
+    """(T, [(x, L(y), sequential L(y||x) - L(y))]) for a few 2,000-20,000-bit
+    transactions y of different bit biases and random short x.  On such y
+    the tables' rounding term, not ``REDECIDE_TOL``, dominates the
+    closed form's re-decide margin."""
+    items = ["".join("1" if rng.random() < bias else "0"
+                     for _ in range(rng.randint(2_000, 20_000)))
+             for bias in (0.5, 0.2, 0.03)]
+    T = TransactionSet(items)
+    coded = T.cached(backend)
+    pairs = []
+    for _ in range(6):
+        x = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+        pairs += [(x, len_y, backend.extend_cost(state, x))
+                  for state, len_y in zip(coded.states, coded.lengths)]
+    return T, pairs
+
+
+def _check_long_boundary(backend, T, x, params):
+    expected = frequency(backend, params, T, x)
+    assert support(backend, params, T, [x])[x] == expected, (x, params)
+    return expected
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_scale_free_boundary_on_long_transactions_decided_like_frequency(order):
+    backend = KTBackend(order)
+    T, pairs = _long_boundary_pairs(backend, random.Random(1900 + order))
+    flips = 0
+    for x, len_y, extra in pairs:
+        c2 = extra / len_y
+        decided = [_check_long_boundary(backend, T, x, OccurrenceParams(c1=0.9, c2=c))
+                   for c in (math.nextafter(c2, 0.0), c2, math.nextafter(c2, 1.0))]
+        flips += decided[0] != decided[2]
+    assert flips > 0
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_additive_boundary_on_long_transactions_decided_like_frequency(order):
+    backend = KTBackend(order)
+    T, pairs = _long_boundary_pairs(backend, random.Random(1950 + order))
+    flips = 0
+    for x, _, extra in pairs:
+        decided = [_check_long_boundary(backend, T, x,
+                                        OccurrenceParams(variant="additive", c3=0.5, c4=c))
+                   for c in (math.nextafter(extra, 0.0), extra,
+                             math.nextafter(extra, math.inf))]
+        flips += decided[0] != decided[2]
+    assert flips > 0
+
+
 @pytest.mark.parametrize("order, params", [
     (2, OccurrenceParams(c1=0.6, c2=0.3)),
     (3, OccurrenceParams(c1=0.6, c2=0.3)),
