@@ -152,11 +152,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_transactions(path: str) -> TransactionSet:
+def _load_items(path: str) -> list:
     items = textio.load_transactions(path)
     if not items:
         raise textio.DataFormatError(f"{path}: no transactions")
-    return TransactionSet(items)
+    return items
+
+
+def _load_transactions(path: str) -> TransactionSet:
+    return TransactionSet(_load_items(path))
 
 
 def _cmd_mine(args) -> int:
@@ -239,7 +243,7 @@ def _cmd_ncd(args) -> int:
         raise UsageError(f"unknown measure {args.measure!r}")
     backend = make_backend(args.backend, args.order, args.timeout)
     if len(args.inputs) == 1:
-        items = textio.load_transactions(args.inputs[0])
+        items = _load_items(args.inputs[0])
         labels = [f"line{i + 1}" for i in range(len(items))]
     else:
         from . import bits as bitutil

@@ -16,25 +16,31 @@ diagnostics only.
 Matrices and the Kraft sum code each item once from the initial state and
 price every joint by continuing the first item's coder state and running
 sum, so they equal (``==``) the single-pair functions, which stay the
-definitional reference.
+definitional reference.  KT joints are priced in fixed-size numpy chunks
+(``_kt_joint_costs``) with the per-bit walk's float operations in its
+order; other backends call ``extend_cost`` once per joint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bits as bitutil
-from .codelength import cond_code_len, joint_code_len_canonical
+from .codelength import (_KT_LOG2_COUNT, _KT_LOG2_LEN, _KT_LOG2_TOTAL,
+                         KTBackend, cond_code_len, joint_code_len_canonical)
 
 MEASURES = ("nid", "ncd", "info")
 # Budget cap of kraft_diagnostic, which evaluates 2**neighborhood_len distances.
 MAX_NEIGHBORHOOD_LEN = 16
-# Budget cap of distance_matrix: n items code n(n+1)/2 joints into an n x n
-# float matrix, so 2048 items are at most 2.1 M joints and 32 MB.
+# Budget cap of distance_matrix: n items cost n(n+1)/2 joints for ncd and
+# n(n+1) for nid and info, into an n x n float matrix, so 2048 items are at
+# most 2.1 M joints (ncd) or 4.2 M (nid, info) and 32 MB.
 MAX_MATRIX_ITEMS = 2048
 
 
@@ -101,11 +107,6 @@ def _code(backend, x: str) -> _Coded:
     return _Coded(x, *backend.extend(backend.initial_state(), x))
 
 
-def _cond(backend, x: _Coded, given: _Coded) -> float:
-    """L(x | given) from given's state: equals ``cond_code_len``."""
-    return backend.extend_cost(given.state, x.bits, given.length) - given.length
-
-
 def _denom(a: _Coded, b: _Coded) -> float:
     denom = max(a.length, b.length)
     if denom <= 0.0:
@@ -113,24 +114,213 @@ def _denom(a: _Coded, b: _Coded) -> float:
     return denom
 
 
-def _info_coded(backend, a: _Coded, b: _Coded) -> float:
-    return max(_cond(backend, b, a), _cond(backend, a, b))
+def _distances(backend, coded, measure: str, a, b) -> np.ndarray:
+    """``measure`` of each pair (coded[a], coded[b]) of the index arrays
+    ``a`` and ``b``, equal (==) to ``_MEASURE_FN``'s: the same float
+    operations on the same joint costs."""
+    length = np.array([c.length for c in coded])
+    la, lb = length[a], length[b]
+    if measure == "ncd":
+        # the canonical joint codes the shorter, then lexicographically
+        # smaller, item first
+        swap = np.array([(len(coded[i].bits), coded[i].bits)
+                         > (len(coded[j].bits), coded[j].bits)
+                         for i, j in zip(a.tolist(), b.tolist())], dtype=bool)
+        joint = _joint_costs(backend, coded, np.stack(
+            (np.where(swap, b, a), np.where(swap, a, b)), axis=1))
+        return (joint - np.minimum(la, lb)) / np.maximum(la, lb)
+    # L(b | a) and L(a | b)
+    joint = _joint_costs(backend, coded,
+                         np.stack((np.r_[a, b], np.r_[b, a]), axis=1))
+    info = np.maximum(joint[:len(a)] - la, joint[len(a):] - lb)
+    return info / np.maximum(la, lb) if measure == "nid" else info
 
 
-def _nid_coded(backend, a: _Coded, b: _Coded) -> float:
-    denom = _denom(a, b)
-    return _info_coded(backend, a, b) / denom
+def _joint_costs(backend, coded, pairs: np.ndarray) -> np.ndarray:
+    """``backend.extend_cost(coded[f].state, coded[s].bits, coded[f].length)``
+    for each row (f, s) of the integer array ``pairs``; KT joints are
+    priced by ``_kt_joint_costs``, with the same floats."""
+    if isinstance(backend, KTBackend):
+        return _kt_joint_costs(backend.order, coded, pairs)
+    return np.array([backend.extend_cost(coded[f].state, coded[s].bits,
+                                         coded[f].length)
+                     for f, s in pairs.tolist()], dtype=float)
 
 
-def _ncd_coded(backend, a: _Coded, b: _Coded) -> float:
-    denom = _denom(a, b)
-    first, second = (b, a) if (len(a.bits), a.bits) > (len(b.bits), b.bits) else (a, b)
-    joint = backend.extend_cost(first.state, second.bits, first.length)
-    return (joint - min(a.length, b.length)) / denom
+# Entries per chunk of the KT joint pricer: a block of plans holds at most
+# this many positions, and a chunk of pairs at most this many (pair,
+# position) entries, unless a single plan or pair is longer.
+_JOINT_CHUNK = 1 << 13
+# codelength's KT step-cost tables as arrays of the same floats
+_KT_TOTAL = np.array(_KT_LOG2_TOTAL)
+_KT_COUNT = np.array(_KT_LOG2_COUNT)
 
 
-# The same measures on coded items, equal (==) to ``_MEASURE_FN``'s.
-_CODED_FN = {"nid": _nid_coded, "ncd": _ncd_coded, "info": _info_coded}
+def _kt_tables(top: int):
+    """The KT step-cost tables with at least ``top + 1`` entries.  Past
+    ``_KT_LOG2_LEN`` they hold ``math.log2`` of the same integers as the
+    walk's fallback, so every entry is the walk's float."""
+    if top < _KT_LOG2_LEN:
+        return _KT_TOTAL, _KT_COUNT
+    more = range(_KT_LOG2_LEN, top + 1)
+    return (np.concatenate((_KT_TOTAL, [math.log2(2 * n + 2) for n in more])),
+            np.concatenate((_KT_COUNT, [math.log2(2 * c + 1) for c in more])))
+
+
+def _runs(widths, budget: int):
+    """Consecutive runs [lo, hi) of the non-decreasing ``widths`` with
+    (hi - lo) * widths[hi - 1] <= budget, or of one entry."""
+    lo = 0
+    while lo < len(widths):
+        hi = min(len(widths), lo + max(1, budget // widths[lo]))
+        while hi - lo > 1 and (hi - lo) * widths[hi - 1] > budget:
+            hi -= 1
+        yield lo, hi
+        lo = hi
+
+
+def _earlier(key: np.ndarray) -> np.ndarray:
+    """For each entry, how many earlier entries hold the same key."""
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    out = np.empty_like(by_key)
+    out[by_key] = np.arange(len(key)) - np.searchsorted(sorted_key, sorted_key)
+    return out
+
+
+class _Body(NamedTuple):
+    """The positions of a string past its first ``order`` (its body), whose
+    contexts lie within the string, whatever context precedes it."""
+    index: dict          # context -> its index, in order of first use
+    ctxbit: np.ndarray   # per position, 2 * its context's index + its bit
+    seen: np.ndarray     # per position, earlier ones with its context
+    seen_bit: np.ndarray  # ... with its context and its bit
+
+
+def _body(order: int, bits: str) -> _Body:
+    at = [bits[t - order:t] for t in range(order, len(bits))]
+    index = {ctx: i for i, ctx in enumerate(dict.fromkeys(at))}
+    context = np.fromiter(map(index.__getitem__, at), np.intp, len(at))
+    ctxbit = 2 * context + (np.frombuffer(bits[order:].encode(), np.uint8)
+                            == ord("1"))
+    return _Body(index, ctxbit, _earlier(context), _earlier(ctxbit))
+
+
+class _Plans(NamedTuple):
+    """A block of plans, one per (tail context, second string): per plan,
+    the walk of the string after the tail from empty counts, position by
+    position, in rows padded to the block's longest string."""
+    contexts: list       # per plan, its contexts (its body's, then its head's)
+    size: np.ndarray     # per plan, its number of positions
+    ctxbit: np.ndarray   # 2 * the position's context index + its bit
+    seen: np.ndarray     # earlier positions with the position's context
+    seen_bit: np.ndarray  # ... with its context and its bit
+
+
+def _plans(order: int, plans, body_of) -> _Plans:
+    """Plan each (tail, bits), with ``body_of(bits)`` its body.  A
+    position's context is the last ``order`` bits of the tail and the bits
+    before it, as ``KTBackend._walk`` keeps it; only the first ``order``
+    positions (the head) depend on the tail, so a plan adds its head's
+    occurrences to its body's counts of earlier ones."""
+    width = max(len(bits) for _, bits in plans)
+    ctxbit, seen, seen_bit = np.zeros((3, len(plans), width), dtype=np.intp)
+    contexts = []
+    for r, (tail, bits) in enumerate(plans):
+        body = body_of(bits)
+        more: dict = {}  # head contexts the body lacks
+        head, n_before, c_before = [], {}, {}
+        for t in range(min(order, len(bits))):
+            ctx = (tail + bits[:t])[-order:]
+            i = body.index.get(ctx)
+            if i is None:
+                i = more.setdefault(ctx, len(body.index) + len(more))
+            cb = 2 * i + (bits[t] == "1")
+            head.append(cb)
+            k, kb = n_before.get(i, 0), c_before.get(cb, 0)
+            seen[r, t], seen_bit[r, t] = k, kb
+            n_before[i], c_before[cb] = k + 1, kb + 1
+        h = len(head)
+        ctxbit[r, :h] = head
+        ctxbit[r, h:len(bits)] = body.ctxbit
+        in_head = np.bincount(np.array(head, dtype=np.intp),
+                              minlength=2 * (len(body.index) + len(more)))
+        seen[r, h:len(bits)] = (body.seen + (in_head[0::2] + in_head[1::2])
+                                [body.ctxbit >> 1])
+        seen_bit[r, h:len(bits)] = body.seen_bit + in_head[body.ctxbit]
+        contexts.append([*body.index, *more])
+    return _Plans(contexts, np.array([len(bits) for _, bits in plans]),
+                  ctxbit, seen, seen_bit)
+
+
+def _price(plans: _Plans, plan, first, coded, length, total, count):
+    """Joint costs of a chunk of pairs, pair i coding ``plan[i]``'s string
+    after ``coded[first[i]]``.  Each position costs ``total[n] - count[c]``,
+    with n and c the first state's counts of its context (and bit) plus the
+    plan's earlier ones.  ``np.cumsum`` sums each row from L(first), and
+    the sum is read at the row's own length (later columns pad the rows to
+    one width): the walk's float operations in its order."""
+    # each pair's first-state counts (zeros, ones) of its plan's contexts,
+    # end to end
+    counts, offset = [], []
+    for p, f in zip(plan.tolist(), first.tolist()):
+        offset.append(len(counts))
+        counts.extend(chain.from_iterable(map(
+            coded[f].state.counts.get, plans.contexts[p], repeat((0, 0)))))
+    of_ctxbit = np.array(counts, dtype=np.intp)
+    of_ctx = np.repeat(of_ctxbit[0::2] + of_ctxbit[1::2], 2)
+    size = plans.size[plan]
+    width = size.max()
+    at = np.array(offset)[:, None] + plans.ctxbit[plan, :width]
+    n = of_ctx[at] + plans.seen[plan, :width]
+    c = of_ctxbit[at] + plans.seen_bit[plan, :width]
+    row = np.empty((len(plan), width + 1))
+    row[:, 0] = length[first]
+    np.subtract(total[n], count[c], out=row[:, 1:])
+    return np.cumsum(row, axis=1)[np.arange(len(plan)), size]
+
+
+def _kt_joint_costs(order: int, coded, pairs: np.ndarray) -> np.ndarray:
+    """KT joint costs, equal (==) to ``extend_cost`` pair by pair.
+
+    Coding s after the first state F costs, at each position, the step
+    cost of a context seen n times, c of them with the coded bit: F's
+    counts of that context plus its occurrences earlier in s.  The
+    contexts and those occurrences depend only on s and F's tail context,
+    so each (tail, s) is planned once per call, in blocks; pairs are
+    sorted by (|s|, s, tail) and priced in chunks.
+    """
+    tails: dict = {}
+    tail_of = np.array([tails.setdefault(c.state.context, len(tails))
+                        for c in coded])
+    size = np.array([len(c.bits) for c in coded])
+    length = np.array([c.length for c in coded])
+    first, second = pairs[:, 0], pairs[:, 1]
+    by_plan = np.lexsort((tail_of[first], second, size[second]))
+    first, second = first[by_plan], second[by_plan]
+    tail = tail_of[first]
+    new = np.r_[True, (second[1:] != second[:-1]) | (tail[1:] != tail[:-1])]
+    plan_of = np.cumsum(new) - 1  # per sorted pair
+    opens = np.flatnonzero(new)   # per plan, its first sorted pair
+    # a context's count in F is at most |F|, and it occurs fewer than |s|
+    # times earlier in s
+    total, count = _kt_tables(int(size[first].max() + size[second].max()))
+    width = size[second].tolist()
+    # plans of one string are adjacent, so one body is held at a time
+    body_of = lru_cache(maxsize=1)(partial(_body, order))
+    costs = np.empty(len(pairs))
+    for p, q in _runs(size[second[opens]].tolist(), _JOINT_CHUNK):
+        plans = _plans(order, [(coded[first[h]].state.context,
+                                coded[second[h]].bits)
+                               for h in opens[p:q].tolist()], body_of)
+        base = opens[p]
+        end = opens[q] if q < len(opens) else len(pairs)
+        for lo, hi in _runs(width[base:end], _JOINT_CHUNK):
+            lo, hi = base + lo, base + hi
+            costs[by_plan[lo:hi]] = _price(plans, plan_of[lo:hi] - p,
+                                           first[lo:hi], coded, length,
+                                           total, count)
+    return costs
 
 
 @dataclass
@@ -148,9 +338,10 @@ def distance_matrix(backend, items, measure: str = "ncd",
                     labels=None) -> DistanceMatrix:
     """Pairwise distances; each unordered pair is computed once and mirrored.
 
-    Each item is coded once; each pair, the diagonal included, then codes
-    one joint for ncd and two for nid and info.  At most
-    ``MAX_MATRIX_ITEMS`` items, checked before any item is coded.
+    Each item is coded once; each pair, the diagonal included, then costs
+    one joint for ncd and two for nid and info, priced by ``_joint_costs``
+    one tile of the matrix at a time.  At most ``MAX_MATRIX_ITEMS`` items,
+    checked before any item is coded.
     """
     items = list(items)
     if len(items) < 2:
@@ -161,23 +352,32 @@ def distance_matrix(backend, items, measure: str = "ncd",
     _check_measure(measure)
     if labels is None:
         labels = [f"item{i}" for i in range(len(items))]
-    fn = _CODED_FN[measure]
     n = len(items)
-    values = np.zeros((n, n))
     coded = []
-
-    def entry(i, j):
-        try:
-            _check(items[i], items[j])
-            return fn(backend, coded[i], coded[j])
-        except (UndefinedDistanceError, ValueError) as exc:
-            raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-
     for i, x in enumerate(items):
         coded.append(_code(backend, x))
-        values[i, i] = entry(i, i)
-    for i, j in combinations(range(n), 2):
-        values[i, j] = values[j, i] = entry(i, j)
+        # a pair fails these checks only if one of its items' diagonal
+        # entries does, so checking each diagonal as its item is coded
+        # raises the first failing pair's error
+        try:
+            _check(x, x)
+            _denom(coded[i], coded[i])
+        except (UndefinedDistanceError, ValueError) as exc:
+            raise type(exc)(f"pair ({i}, {i}): {exc}") from exc
+    values = np.zeros((n, n))
+    # the upper triangle, the diagonal included, in square tiles of about
+    # _JOINT_CHUNK pairs: a tile's second strings come from its rows and
+    # columns only, so few strings are planned per pair
+    side = math.isqrt(_JOINT_CHUNK)
+    for lo in range(0, n, side):
+        for left in range(lo, n, side):
+            i, j = np.meshgrid(np.arange(lo, min(n, lo + side)),
+                               np.arange(left, min(n, left + side)),
+                               indexing="ij")
+            upper = i <= j
+            i, j = i[upper], j[upper]
+            values[i, j] = values[j, i] = _distances(backend, coded, measure,
+                                                     i, j)
     return DistanceMatrix(list(labels), values, measure)
 
 
@@ -212,11 +412,15 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
         raise ValueError(
             f"neighborhood_len must be in 1..{MAX_NEIGHBORHOOD_LEN}")
     _check_measure(measure)
-    fn = _CODED_FN[measure]
     cx = _code(backend, x)
+    _check(x, x)  # every y is non-empty
+    ys = (y for y in bitutil.all_of_length(neighborhood_len) if y != x)
     total = 0.0
-    for y in bitutil.all_of_length(neighborhood_len):
-        if y != x:
-            _check(x, y)
-            total += 2.0 ** (-fn(backend, cx, _code(backend, y)))
+    while block := [_code(backend, y) for y in
+                    islice(ys, max(1, _JOINT_CHUNK // neighborhood_len))]:
+        d = _distances(backend, [cx] + block, measure,
+                       np.zeros(len(block), dtype=np.intp),
+                       np.arange(1, len(block) + 1))
+        for v in d.tolist():
+            total += 2.0 ** (-v)
     return total

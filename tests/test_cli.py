@@ -190,6 +190,14 @@ class TestNcd:
         f.write_text("0101\n")
         assert main(["ncd", str(f)]) == 1
 
+    @pytest.mark.parametrize("text", ["", "# a comment, no items\n"])
+    def test_input_without_transactions_is_data_error(self, tmp_path, capsys,
+                                                       text):
+        f = tmp_path / "none.txt"
+        f.write_text(text)
+        assert main(["ncd", str(f)]) == 2
+        assert f"{f}: no transactions" in capsys.readouterr().err
+
     def test_empty_input_file_is_data_error(self, tmp_path, capsys):
         a, empty = tmp_path / "a.bin", tmp_path / "empty.bin"
         a.write_bytes(b"aaaaaaaaaa")

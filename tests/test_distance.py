@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitmine import (ExternalBackend, KTBackend, LZBackend, TransactionSet,
                      UndefinedDistanceError, code_len, cond_code_len,
@@ -107,7 +111,8 @@ class TestMatrix:
         corpus = (list(gen_random(10, (24, 32), 5))
                   + ["0", "1", "0" * 30, "0110", "1001", "0110"])
         n = len(corpus)
-        for backend in (KTBackend(0), KTBackend(1), KTBackend(3), LZBackend()):
+        for backend in (KTBackend(0), KTBackend(1), KTBackend(3), KTBackend(5),
+                        KTBackend(24), LZBackend()):
             for measure, fn in _MEASURE_FN.items():
                 m = distance_matrix(backend, corpus, measure)
                 for i in range(n):
@@ -115,9 +120,40 @@ class TestMatrix:
                         ref = fn(backend, corpus[min(i, j)], corpus[max(i, j)])
                         assert m.values[i, j] == ref, (backend, measure, i, j)
 
+    @pytest.mark.parametrize("chunk", [3, distance._JOINT_CHUNK])
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.sampled_from([0, 1, 2, 3, 4, 5, 6, 24]),
+           short=st.lists(st.text(alphabet="01", min_size=1, max_size=64),
+                          min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1),
+           ones=st.sampled_from([0.02, 0.5, 0.97]))
+    def test_kt_matrix_equals_the_single_pair_functions(self, chunk, order,
+                                                         short, seed, ones):
+        # one item runs past the 1,024-entry step-cost tables; a chunk of
+        # 3 entries prices each plan and pair on its own
+        rng = random.Random(seed)
+        long = "".join("1" if rng.random() < ones else "0"
+                       for _ in range(rng.randint(2100, 2300)))
+        items = short + [long]
+        rng.shuffle(items)
+        backend = KTBackend(order)
+        with mock.patch.object(distance, "_JOINT_CHUNK", chunk):
+            for measure, fn in _MEASURE_FN.items():
+                m = distance_matrix(backend, items, measure)
+                for i in range(len(items)):
+                    for j in range(i, len(items)):
+                        ref = fn(backend, items[i], items[j])
+                        assert m.values[i, j] == m.values[j, i] == ref, (
+                            measure, i, j)
+
     def test_needs_two_items(self, kt0):
         with pytest.raises(ValueError):
             distance_matrix(kt0, ["0101"], "ncd")
+
+    def test_empty_item_names_its_pair(self, kt0):
+        with pytest.raises(ValueError, match=r"^pair \(1, 1\): distance "
+                                             r"operands must have length >= 1"):
+            distance_matrix(kt0, ["01", "", "1", ""], "nid")
 
     def test_unknown_measure(self, kt0):
         with pytest.raises(ValueError):
@@ -162,6 +198,49 @@ def test_matrix_codes_each_item_once(measure):
     pairs = n * (n + 1) // 2
     joints = pairs if measure == "ncd" else 2 * pairs
     assert backend.calls["extend_cost"] == joints
+
+
+@pytest.mark.parametrize("measure", ["ncd", "nid", "info"])
+def test_kt_matrix_walks_each_item_once(measure, monkeypatch):
+    # the per-bit walk codes each item; every joint is priced without it
+    walked = []
+    walk = KTBackend._walk
+
+    def counting(self, ctx, counts, new, bits, cost):
+        walked.append(bits)
+        return walk(self, ctx, counts, new, bits, cost)
+
+    monkeypatch.setattr(KTBackend, "_walk", counting)
+    corpus = list(gen_random(7, (8, 24), 3)) + ["1"]
+    distance_matrix(KTBackend(1), corpus, measure)
+    assert walked == corpus
+
+
+def test_kt_matrix_memory_is_bounded():
+    # 1,640 joints of 2,000-4,000 bits: pricing them all at once would hold
+    # tens of MB
+    rng = random.Random(31)
+    items = [random_bits(rng, rng.randint(2000, 4000)) for _ in range(40)]
+    tracemalloc.start()
+    try:
+        m = distance_matrix(KTBackend(4), items, "nid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - m.values.nbytes < 4 * 2 ** 20
+
+
+def test_cumsum_along_rows_adds_in_order():
+    # the KT joint pricer sums each row with np.cumsum along axis 1 and
+    # needs the per-bit walk's order of additions
+    rng = np.random.default_rng(7)
+    rows = rng.random((37, 300)) * rng.choice([1e-3, 1.0, 1e3], (37, 300))
+    sums = np.cumsum(rows, axis=1)
+    for r, row in enumerate(rows.tolist()):
+        acc = 0.0
+        for k, v in enumerate(row):
+            acc += v
+            assert sums[r, k] == acc, (r, k)
 
 
 def test_external_matrix_runs_the_command_once_per_item_and_joint(monkeypatch):
@@ -224,7 +303,7 @@ def test_kraft_diagnostic_runs(kt0):
 @pytest.mark.parametrize("measure", ["nid", "ncd", "info"])
 def test_kraft_diagnostic_equals_the_sum_of_single_pair_distances(measure):
     fn = _MEASURE_FN[measure]
-    for backend in (KTBackend(0), KTBackend(2), LZBackend()):
+    for backend in (KTBackend(0), KTBackend(2), KTBackend(5), LZBackend()):
         for x in ("0", "0110", "01011011", "11111"):
             ref = 0.0
             for y in bitutil.all_of_length(5):
