@@ -6,16 +6,22 @@ and there is no hidden byte padding.  The empty string is a valid (empty)
 bit string.
 """
 
-_BITSET = frozenset("01")
 
-
-def validate(bits: str) -> str:
-    """Return ``bits`` unchanged, raising ValueError if it is not a bit string."""
+def validate(bits: str, what: str = "bit string") -> str:
+    """Return ``bits`` unchanged, raising ValueError naming ``what`` if it
+    is not a bit string (the empty string is one)."""
     if not isinstance(bits, str):
-        raise ValueError(f"bit string must be str, got {type(bits).__name__}")
-    if set(bits) - _BITSET:
-        bad = next(c for c in bits if c not in _BITSET)
-        raise ValueError(f"invalid character {bad!r} in bit string")
+        raise ValueError(f"{what} is a {type(bits).__name__}, not a bit string")
+    bad = bits.strip("01")
+    if bad:
+        raise ValueError(f"{what} holds {bad[0]!r}; only '0' and '1' are bits")
+    return bits
+
+
+def check(bits: str, what: str) -> str:
+    """``validate``, and refuse the empty string."""
+    if not validate(bits, what):
+        raise ValueError(f"{what} must have length >= 1")
     return bits
 
 

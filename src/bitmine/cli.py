@@ -4,7 +4,7 @@ Subcommands: mine (level-wise pattern mining), oracle (brute-force
 enumeration, optionally diffed against a mine result), ncd (pairwise
 distance matrices) and gen (synthetic dataset generation).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data or file error, 3 backend error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ EXIT_BACKEND = 3
 MAX_THREADS = 64  # cap of ``mine --threads``, which changes nothing
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -211,8 +211,7 @@ def _cmd_oracle(args) -> int:
                                oracle_config)
 
     if args.diff is not None:
-        with open(args.diff, "r", encoding="utf-8") as fh:
-            records, _ = textio.parse_result(fh.read())
+        records, _ = textio.parse_result(textio.read_text(args.diff))
         mined = {pattern: count for pattern, count, _, _ in records}
         if mined == found:
             print(f"identical: {len(found)} patterns")
@@ -290,16 +289,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (textio.DataFormatError, FileNotFoundError,
+    except (textio.DataFormatError, OSError,
             IncompleteEnumerationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (EstimationError, PredicateError, UndefinedDistanceError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -41,6 +41,18 @@ _KT_LOG2_TOTAL = [math.log2(2 * n + 2) for n in range(_KT_LOG2_LEN)]
 _KT_LOG2_COUNT = [math.log2(2 * c + 1) for c in range(_KT_LOG2_LEN)]
 
 
+def kt_log2_terms(size: int) -> tuple[list, list]:
+    """The walk's two KT term lists, log2(2n + 2) and log2(2c + 1), with at
+    least ``size`` entries each: ``math.log2`` of the same integers past
+    their end, so every entry is the float the walk reads."""
+    total, count = _KT_LOG2_TOTAL, _KT_LOG2_COUNT
+    if size > len(total):
+        more = range(len(total), size)
+        total = total + [math.log2(2 * n + 2) for n in more]
+        count = count + [math.log2(2 * c + 1) for c in more]
+    return total, count
+
+
 class KTState(NamedTuple):
     """Adaptive estimator state: recent context plus per-context bit counts
     (a tuple, which is cheaper to build than a dataclass)."""
@@ -320,22 +332,27 @@ class ExternalBackend:
 
 def code_len(backend, x: str) -> float:
     """Code length L(x) in bits; L of the empty string is 0."""
-    return backend.code_len(x)
+    return backend.code_len(bitutil.validate(x, "x"))
 
 
 def joint_code_len(backend, context: str, x: str) -> float:
     """L(context || x): plain concatenation, adaptive model carried across."""
-    return backend.code_len(context + x)
+    return backend.code_len(bitutil.validate(context, "context")
+                            + bitutil.validate(x, "x"))
 
 
 def cond_code_len(backend, x: str, given: str) -> float:
     """L(x | given) = L(given || x) - L(given)."""
+    bitutil.validate(x, "x")
+    bitutil.validate(given, "given")
     return backend.code_len(given + x) - backend.code_len(given)
 
 
 def joint_code_len_canonical(backend, a: str, b: str) -> float:
     """Symmetric joint: concatenate in canonical order (shorter first,
     ties broken lexicographically) so the result is exactly symmetric."""
+    bitutil.validate(a, "a")
+    bitutil.validate(b, "b")
     if (len(a), a) > (len(b), b):
         a, b = b, a
     return backend.code_len(a + b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import bits as bitutil
 from .occurrence import TransactionSet
 
 _MASK = (1 << 64) - 1
@@ -63,8 +64,7 @@ class PlantSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if len(self.motif) < 1:
-            raise ValueError("motif must have length >= 1")
+        bitutil.check(self.motif, "motif")
         if self.transaction_count < 1:
             raise ValueError("transaction_count must be >= 1")
         if not (0.0 <= self.planted_fraction <= 1.0):

@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bits as bitutil
-from .codelength import (_KT_LOG2_COUNT, _KT_LOG2_LEN, _KT_LOG2_TOTAL,
-                         KTBackend, cond_code_len, joint_code_len_canonical)
+from .codelength import (KTBackend, cond_code_len, joint_code_len_canonical,
+                         kt_log2_terms)
 
 MEASURES = ("nid", "ncd", "info")
 # Budget cap of kraft_diagnostic, which evaluates 2**neighborhood_len distances.
@@ -53,9 +53,9 @@ def _check_measure(measure: str):
         raise ValueError(f"measure must be one of {MEASURES}")
 
 
-def _check(a: str, b: str):
-    if len(a) < 1 or len(b) < 1:
-        raise ValueError("distance operands must have length >= 1")
+def _check(*operands: str):
+    for x in operands:
+        bitutil.check(x, "distance operands")
 
 
 def info_dist(backend, a: str, b: str) -> float:
@@ -67,9 +67,7 @@ def info_dist(backend, a: str, b: str) -> float:
 def nid_estimate(backend, a: str, b: str) -> float:
     """Normalized information distance with code lengths in place of H."""
     _check(a, b)
-    denom = max(backend.code_len(a), backend.code_len(b))
-    if denom <= 0.0:
-        raise UndefinedDistanceError("both code lengths are zero")
+    denom = _denom(backend.code_len(a), backend.code_len(b))
     return info_dist(backend, a, b) / denom
 
 
@@ -87,9 +85,7 @@ def ncd(backend, a: str, b: str) -> float:
     """
     _check(a, b)
     la, lb = backend.code_len(a), backend.code_len(b)
-    denom = max(la, lb)
-    if denom <= 0.0:
-        raise UndefinedDistanceError("both code lengths are zero")
+    denom = _denom(la, lb)
     return (joint_code_len_canonical(backend, a, b) - min(la, lb)) / denom
 
 
@@ -107,8 +103,8 @@ def _code(backend, x: str) -> _Coded:
     return _Coded(x, *backend.extend(backend.initial_state(), x))
 
 
-def _denom(a: _Coded, b: _Coded) -> float:
-    denom = max(a.length, b.length)
+def _denom(la: float, lb: float) -> float:
+    denom = max(la, lb)
     if denom <= 0.0:
         raise UndefinedDistanceError("both code lengths are zero")
     return denom
@@ -151,22 +147,6 @@ def _joint_costs(backend, coded, pairs: np.ndarray) -> np.ndarray:
 # this many positions, and a chunk of pairs at most this many (pair,
 # position) entries, unless a single plan or pair is longer.
 _JOINT_CHUNK = 1 << 13
-# codelength's KT step-cost tables as arrays of the same floats
-_KT_TOTAL = np.array(_KT_LOG2_TOTAL)
-_KT_COUNT = np.array(_KT_LOG2_COUNT)
-
-
-def _kt_tables(top: int):
-    """The KT step-cost tables with at least ``top + 1`` entries.  Past
-    ``_KT_LOG2_LEN`` they hold ``math.log2`` of the same integers as the
-    walk's fallback, so every entry is the walk's float."""
-    if top < _KT_LOG2_LEN:
-        return _KT_TOTAL, _KT_COUNT
-    more = range(_KT_LOG2_LEN, top + 1)
-    return (np.concatenate((_KT_TOTAL, [math.log2(2 * n + 2) for n in more])),
-            np.concatenate((_KT_COUNT, [math.log2(2 * c + 1) for c in more])))
-
-
 def _runs(widths, budget: int):
     """Consecutive runs [lo, hi) of the non-decreasing ``widths`` with
     (hi - lo) * widths[hi - 1] <= budget, or of one entry."""
@@ -304,7 +284,8 @@ def _kt_joint_costs(order: int, coded, pairs: np.ndarray) -> np.ndarray:
     opens = np.flatnonzero(new)   # per plan, its first sorted pair
     # a context's count in F is at most |F|, and it occurs fewer than |s|
     # times earlier in s
-    total, count = _kt_tables(int(size[first].max() + size[second].max()))
+    total, count = map(np.array, kt_log2_terms(
+        int(size[first].max() + size[second].max()) + 1))
     width = size[second].tolist()
     # plans of one string are adjacent, so one body is held at a time
     body_of = lru_cache(maxsize=1)(partial(_body, order))
@@ -352,16 +333,19 @@ def distance_matrix(backend, items, measure: str = "ncd",
     _check_measure(measure)
     if labels is None:
         labels = [f"item{i}" for i in range(len(items))]
+    labels = list(labels)
+    if len(labels) != len(items):
+        raise ValueError(f"{len(labels)} labels for {len(items)} items")
     n = len(items)
     coded = []
     for i, x in enumerate(items):
-        coded.append(_code(backend, x))
         # a pair fails these checks only if one of its items' diagonal
-        # entries does, so checking each diagonal as its item is coded
-        # raises the first failing pair's error
+        # entries does, so checking each item and its diagonal as it is
+        # coded raises the first failing pair's error
         try:
-            _check(x, x)
-            _denom(coded[i], coded[i])
+            _check(x)
+            coded.append(_code(backend, x))
+            _denom(coded[i].length, coded[i].length)
         except (UndefinedDistanceError, ValueError) as exc:
             raise type(exc)(f"pair ({i}, {i}): {exc}") from exc
     values = np.zeros((n, n))
@@ -378,7 +362,7 @@ def distance_matrix(backend, items, measure: str = "ncd",
             i, j = i[upper], j[upper]
             values[i, j] = values[j, i] = _distances(backend, coded, measure,
                                                      i, j)
-    return DistanceMatrix(list(labels), values, measure)
+    return DistanceMatrix(labels, values, measure)
 
 
 def triangle_violation_rate(matrix: DistanceMatrix) -> float:
@@ -412,8 +396,8 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
         raise ValueError(
             f"neighborhood_len must be in 1..{MAX_NEIGHBORHOOD_LEN}")
     _check_measure(measure)
+    bitutil.check(x, "x")  # every y is a non-empty bit string
     cx = _code(backend, x)
-    _check(x, x)  # every y is non-empty
     ys = (y for y in bitutil.all_of_length(neighborhood_len) if y != x)
     total = 0.0
     while block := [_code(backend, y) for y in

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codelength import EstimationError, KTBackend, KTState
+from . import bits as bitutil
+from .codelength import EstimationError, KTBackend, KTState, kt_log2_terms
 
 VARIANTS = ("scale-free", "additive")
 
@@ -90,14 +91,7 @@ class _Coded:
 
 def _check_items(items):
     for i, y in enumerate(items):
-        if not isinstance(y, str):
-            raise ValueError(f"transaction {i} is a {type(y).__name__}, not a bit string")
-        if len(y) < 1:
-            raise ValueError(f"transaction {i} is empty; length >= 1 required")
-        bad = y.strip("01")
-        if bad:
-            raise ValueError(
-                f"transaction {i} holds {bad[0]!r}; only '0' and '1' are bits")
+        bitutil.check(y, f"transaction {i}")
 
 
 @dataclass
@@ -146,16 +140,10 @@ def _occurs_len(params: OccurrenceParams, len_x: float, len_y: float,
             and extra <= params.noise_bound(len_y))
 
 
-def _check_pattern(x: str):
-    if not x:
-        raise ValueError("pattern must have length >= 1")
-
-
 def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     """Does pattern x occur in datum y under the given thresholds?"""
-    _check_pattern(x)
-    if len(y) < 1:
-        raise ValueError("datum must have length >= 1")
+    bitutil.check(x, "pattern")
+    bitutil.check(y, "datum")
     state_y, len_y = backend.extend(backend.initial_state(), y)
     if len_y <= 0.0:
         raise PredicateError(
@@ -166,7 +154,7 @@ def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
 
 def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> int:
     """Number of transactions (with multiplicity) in which x occurs."""
-    _check_pattern(x)
+    bitutil.check(x, "pattern")
     cache = T.cached(backend)
     len_x = backend.code_len(x)
     count = 0
@@ -228,7 +216,8 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     ``frequency(backend, params, T, x)``.
 
     ``coded`` maps each x to (L(x), its signature), as ``code_strings``
-    (the default) returns it.  Candidates are grouped by signature
+    (the default, which checks the candidates first) returns it.
+    Candidates are grouped by signature
     (strings with equal signatures cost the same after any coder state,
     hence have identical support) and each group is counted once.  The KT
     backend is counted in closed form, on every transaction.  Every other
@@ -243,11 +232,10 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     not depend on grouping.
     """
     if coded is None:
-        candidates = list(candidates)
+        candidates = [bitutil.check(x, "pattern") for x in candidates]
         coded = code_strings(backend, candidates)
     groups: dict = {}
     for x in candidates:
-        _check_pattern(x)
         sig = coded[x][1]
         groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
     members = list(groups.values())
@@ -394,11 +382,11 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     # counts (c0, c1) costs, in any order, (B[n + d] - B[n])
     # - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1]), with n = c0 + c1,
     # d = d0 + d1 and the prefix sums A[m] = sum_{i<m} log2(2i + 1),
-    # B[m] = sum_{i<m} log2(2i + 2).  No pair reads past top.
+    # B[m] = sum_{i<m} log2(2i + 2), the walk's terms.  No pair reads past top.
     top = int((c0 + c1).max()) + max_x
-    i = np.arange(top)
-    A = np.concatenate(([0.0], np.cumsum(np.log2(2 * i + 1))))
-    B = np.concatenate(([0.0], np.cumsum(np.log2(2 * i + 2))))
+    total, count = kt_log2_terms(top)
+    A = np.concatenate(([0.0], np.cumsum(count[:top])))
+    B = np.concatenate(([0.0], np.cumsum(total[:top])))
     base = B[c0 + c1] - A[c0] - A[c1]
     # Every B - A - A term is compared with ``base``, read from the same
     # tables at y's own counts, so a context a group does not touch costs

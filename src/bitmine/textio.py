@@ -51,9 +51,17 @@ def parse_transactions(lines) -> list:
     return items
 
 
-def load_transactions(path: str) -> list:
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_transactions(fh)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def load_transactions(path: str) -> list:
+    return parse_transactions(read_text(path).split("\n"))
 
 
 def emit_transaction(bits: str, encoding: str = "bits") -> str:

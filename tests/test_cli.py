@@ -1,10 +1,13 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bitmine
 from bitmine.cli import main
 from bitmine.textio import parse_result, parse_transactions
 
@@ -138,6 +141,18 @@ class TestMine:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["mine", str(tmp_path / "nope.txt"), *MINE_FLAGS]) == 2
 
+    @pytest.mark.parametrize("command", ["mine", "oracle"])
+    def test_additive_variant_writes_c3_and_c4(self, tmp_path, command):
+        out = tmp_path / "result.txt"
+        flags = {"mine": ["--step-bits", "2"], "oracle": ["--max-len", "6"]}
+        assert main([command, DATASET, "--epsilon", "4", *flags[command],
+                     "--variant", "additive", "--c3", "1.5", "--c4", "2",
+                     "--out", str(out)]) == 0
+        _, header = parse_result(read(out))
+        assert (header["variant"], header["c3"], header["c4"]) == \
+            ("additive", "1.5", "2.0")
+        assert "c1" not in header and "c2" not in header
+
 
 class TestOracle:
     def test_diff_against_mine_output_is_identical(self, capsys):
@@ -210,6 +225,12 @@ class TestNcd:
                      "--backend", "external:false"]) == 3
         assert "backend error:" in capsys.readouterr().err
 
+    def test_compressor_without_output_is_backend_error(self, capsys):
+        assert main(["ncd", str(FIXTURES / "corpus10.txt"),
+                     "--backend", "external:true"]) == 3
+        assert "backend error: external compressor produced no output" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
     def test_bad_external_timeout_is_refused_before_running(
             self, tmp_path, capsys, timeout):
@@ -243,6 +264,41 @@ class TestNcd:
         assert [len(r) for r in rows] == [2, 2]
 
 
+class TestFileErrors:
+    """Files that cannot be read or written, or are not UTF-8: exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "{dir}", *MINE_FLAGS],
+        ["oracle", DATASET, "--epsilon", "4", "--diff", "{dir}"],
+        ["ncd", DATASET, "{dir}"],
+    ], ids=["mine", "oracle-diff", "ncd"])
+    def test_input_path_that_is_a_directory_is_data_error(self, tmp_path,
+                                                          capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert f"data error: [Errno 21] Is a directory: '{tmp_path}'" in \
+            capsys.readouterr().err
+
+    def test_diff_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "result.txt"
+        bad.write_bytes(b"# bitmine result\n\xff 1 1.0 1\n")
+        assert main(["oracle", DATASET, "--epsilon", "4",
+                     "--diff", str(bad)]) == 2
+        assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_output_path_that_is_a_directory_is_data_error(
+            self, tmp_path, capsys, flag):
+        assert main(["mine", DATASET, *MINE_FLAGS, flag, f"{tmp_path}/"]) == 2
+        assert f"data error: [Errno 21] Is a directory: '{tmp_path}/'" in \
+            capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"0101\n\xff\n")
+        assert main(["mine", str(bad), *MINE_FLAGS]) == 2
+        assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
+
+
 class TestGen:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -274,3 +330,19 @@ class TestGen:
         assert read(out) == read(FIXTURES / "dataset7.txt") or \
             parse_transactions(read(out).splitlines()) == \
             parse_transactions(read(FIXTURES / "dataset7.txt").splitlines())
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["gen", "--count", "2"], 0),
+    (["mine", DATASET], 1),
+    (["mine", "nope.txt", *MINE_FLAGS], 2),
+], ids=["ok", "usage", "data"])
+def test_module_entry_point_exits_with_mains_status(tmp_path, argv, status):
+    env = dict(os.environ)
+    src = str(Path(bitmine.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bitmine.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=60)
+    assert proc.returncode == status, proc.stderr

@@ -211,6 +211,10 @@ class TestExternal:
         with pytest.raises(EstimationError):
             code_len(ExternalBackend("/nonexistent-compressor"), "0101")
 
+    def test_command_without_output_raises(self):
+        with pytest.raises(EstimationError, match="produced no output"):
+            code_len(ExternalBackend("true"), "0101")
+
     def test_not_monotone_flag(self):
         assert ExternalBackend("cat").monotone is False
 

@@ -104,6 +104,8 @@ class TestGenPlanted:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlantSpec(motif="")
+        with pytest.raises(ValueError, match="^motif holds '2'"):
+            PlantSpec(motif="0120")
         with pytest.raises(ValueError):
             PlantSpec(planted_fraction=1.5)
         with pytest.raises(ValueError):

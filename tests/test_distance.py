@@ -17,6 +17,8 @@ from bitmine import bits as bitutil
 from bitmine import distance
 from bitmine.distance import _MEASURE_FN, MAX_NEIGHBORHOOD_LEN, DistanceMatrix
 
+from conftest import ZeroBackend
+
 
 def random_bits(rng, n):
     return "".join(rng.choice("01") for _ in range(n))
@@ -341,3 +343,28 @@ def test_matrix_over_the_item_cap_is_refused_before_coding(kt0, monkeypatch):
         distance_matrix(kt0, ["0", "1", "01", "10"])
     with pytest.raises(AssertionError, match="despite the cap"):
         distance_matrix(kt0, ["0", "1", "01"])
+
+
+def test_matrix_with_a_wrong_label_count_is_refused_before_coding(
+        kt0, monkeypatch):
+    def refuse(backend, x):
+        raise AssertionError("item coded despite the label count")
+
+    monkeypatch.setattr(distance, "_code", refuse)
+    for labels in (["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError,
+                           match=f"^{len(labels)} labels for 3 items$"):
+            distance_matrix(kt0, ["0", "1", "01"], labels=labels)
+    with pytest.raises(AssertionError, match="despite the label count"):
+        distance_matrix(kt0, ["0", "1", "01"], labels=iter("abc"))
+
+
+@pytest.mark.parametrize("measure", ["nid", "ncd"])
+def test_zero_code_lengths_leave_the_distance_undefined(measure):
+    zero = ZeroBackend()
+    with pytest.raises(UndefinedDistanceError,
+                       match="^both code lengths are zero$"):
+        _MEASURE_FN[measure](zero, "01", "10")
+    with pytest.raises(UndefinedDistanceError,
+                       match=r"^pair \(0, 0\): both code lengths are zero$"):
+        distance_matrix(zero, ["01", "10"], measure)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitmine import (EstimationError, ExternalBackend, KTBackend, LZBackend,
-                     OccurrenceParams, TransactionSet, code_len, frequency,
-                     gen_random, occurs, support)
+                     OccurrenceParams, PredicateError, TransactionSet,
+                     code_len, frequency, gen_random, occurs, support)
 from bitmine import bits as bitutil
 from bitmine import occurrence
 
-from conftest import ktk_len_exact
+from conftest import ZeroBackend, ktk_len_exact
 
 SCALE = OccurrenceParams(variant="scale-free", c1=0.6, c2=0.3)
 ADDITIVE = OccurrenceParams(variant="additive", c3=2.0, c4=3.0)
@@ -104,6 +104,16 @@ class TestFrequency:
     def test_rejects_empty_transaction(self):
         with pytest.raises(ValueError):
             TransactionSet(["010", ""])
+
+    def test_zero_code_length_of_a_datum_is_undecidable(self):
+        zero, T = ZeroBackend(), TransactionSet(["0110", "10"])
+        with pytest.raises(PredicateError, match="^backend reports code "
+                                                 "length 0.0 for a non-empty"):
+            occurs(zero, SCALE, "01", "0110")
+        for count in (frequency, lambda *a: support(*a[:3], [a[3]])):
+            with pytest.raises(PredicateError, match="^transaction 0: backend "
+                                                     "reports code length 0.0"):
+                count(zero, SCALE, T, "01")
 
 
 class TestTransactionSet:
