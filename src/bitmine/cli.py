@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -83,6 +84,25 @@ def _threshold_header(args):
     if args.variant == "scale-free":
         return {"variant": args.variant, "c1": args.c1, "c2": args.c2}
     return {"variant": args.variant, "c3": args.c3, "c4": args.c4}
+
+
+def _check_outputs(*paths):
+    """Refuse, before any work, an output path that ``_write`` could not
+    open: a directory, or a file in a missing directory.  Nothing is
+    opened, so an existing file is not truncated by a run that fails."""
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.exists(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    parent)
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR), parent)
 
 
 def _write(path, text):
@@ -173,6 +193,7 @@ def _cmd_mine(args) -> int:
     config = MiningConfig(epsilon=_parse_epsilon(args.epsilon),
                           step_bits=args.step_bits, max_level=args.max_level,
                           mode=args.mode)
+    _check_outputs(args.out, args.stats)
     T = _load_transactions(args.input)
     try:
         result = mine(backend, params, T, config)
@@ -206,6 +227,7 @@ def _cmd_oracle(args) -> int:
     params = _make_params(args)
     config = MiningConfig(epsilon=_parse_epsilon(args.epsilon))  # epsilon rules
     oracle_config = OracleConfig(args.max_len, args.must_cover_termination)
+    _check_outputs(args.out)
     T = _load_transactions(args.input)
     found = enumerate_frequent(backend, params, T, config.resolve_epsilon(len(T)),
                                oracle_config)
@@ -241,6 +263,7 @@ def _cmd_ncd(args) -> int:
     if args.measure not in MEASURES:
         raise UsageError(f"unknown measure {args.measure!r}")
     backend = make_backend(args.backend, args.order, args.timeout)
+    _check_outputs(args.out)
     if len(args.inputs) == 1:
         items = _load_items(args.inputs[0])
         labels = [f"line{i + 1}" for i in range(len(items))]

@@ -17,23 +17,23 @@ Matrices and the Kraft sum code each item once from the initial state and
 price every joint by continuing the first item's coder state and running
 sum, so they equal (``==``) the single-pair functions, which stay the
 definitional reference.  KT joints are priced in fixed-size numpy chunks
-(``_kt_joint_costs``) with the per-bit walk's float operations in its
-order; other backends call ``extend_cost`` once per joint.
+by the batch module ``ktbatch`` (``_kt_joint_costs``), with the per-bit
+walk's float operations in its order; other backends call ``extend_cost``
+once per joint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bits as bitutil
-from .codelength import (KTBackend, cond_code_len, joint_code_len_canonical,
-                         kt_log2_terms)
+from . import ktbatch
+from .codelength import KTBackend, cond_code_len, joint_code_len_canonical
 
 MEASURES = ("nid", "ncd", "info")
 # Budget cap of kraft_diagnostic, which evaluates 2**neighborhood_len distances.
@@ -135,173 +135,12 @@ def _distances(backend, coded, measure: str, a, b) -> np.ndarray:
 def _joint_costs(backend, coded, pairs: np.ndarray) -> np.ndarray:
     """``backend.extend_cost(coded[f].state, coded[s].bits, coded[f].length)``
     for each row (f, s) of the integer array ``pairs``; KT joints are
-    priced by ``_kt_joint_costs``, with the same floats."""
+    priced by ``ktbatch._kt_joint_costs``, with the same floats."""
     if isinstance(backend, KTBackend):
-        return _kt_joint_costs(backend.order, coded, pairs)
+        return ktbatch._kt_joint_costs(backend.order, coded, pairs)
     return np.array([backend.extend_cost(coded[f].state, coded[s].bits,
                                          coded[f].length)
                      for f, s in pairs.tolist()], dtype=float)
-
-
-# Entries per chunk of the KT joint pricer: a block of plans holds at most
-# this many positions, and a chunk of pairs at most this many (pair,
-# position) entries, unless a single plan or pair is longer.
-_JOINT_CHUNK = 1 << 13
-def _runs(widths, budget: int):
-    """Consecutive runs [lo, hi) of the non-decreasing ``widths`` with
-    (hi - lo) * widths[hi - 1] <= budget, or of one entry."""
-    lo = 0
-    while lo < len(widths):
-        hi = min(len(widths), lo + max(1, budget // widths[lo]))
-        while hi - lo > 1 and (hi - lo) * widths[hi - 1] > budget:
-            hi -= 1
-        yield lo, hi
-        lo = hi
-
-
-def _earlier(key: np.ndarray) -> np.ndarray:
-    """For each entry, how many earlier entries hold the same key."""
-    by_key = np.argsort(key, kind="stable")
-    sorted_key = key[by_key]
-    out = np.empty_like(by_key)
-    out[by_key] = np.arange(len(key)) - np.searchsorted(sorted_key, sorted_key)
-    return out
-
-
-class _Body(NamedTuple):
-    """The positions of a string past its first ``order`` (its body), whose
-    contexts lie within the string, whatever context precedes it."""
-    index: dict          # context -> its index, in order of first use
-    ctxbit: np.ndarray   # per position, 2 * its context's index + its bit
-    seen: np.ndarray     # per position, earlier ones with its context
-    seen_bit: np.ndarray  # ... with its context and its bit
-
-
-def _body(order: int, bits: str) -> _Body:
-    at = [bits[t - order:t] for t in range(order, len(bits))]
-    index = {ctx: i for i, ctx in enumerate(dict.fromkeys(at))}
-    context = np.fromiter(map(index.__getitem__, at), np.intp, len(at))
-    ctxbit = 2 * context + (np.frombuffer(bits[order:].encode(), np.uint8)
-                            == ord("1"))
-    return _Body(index, ctxbit, _earlier(context), _earlier(ctxbit))
-
-
-class _Plans(NamedTuple):
-    """A block of plans, one per (tail context, second string): per plan,
-    the walk of the string after the tail from empty counts, position by
-    position, in rows padded to the block's longest string."""
-    contexts: list       # per plan, its contexts (its body's, then its head's)
-    size: np.ndarray     # per plan, its number of positions
-    ctxbit: np.ndarray   # 2 * the position's context index + its bit
-    seen: np.ndarray     # earlier positions with the position's context
-    seen_bit: np.ndarray  # ... with its context and its bit
-
-
-def _plans(order: int, plans, body_of) -> _Plans:
-    """Plan each (tail, bits), with ``body_of(bits)`` its body.  A
-    position's context is the last ``order`` bits of the tail and the bits
-    before it, as ``KTBackend._walk`` keeps it; only the first ``order``
-    positions (the head) depend on the tail, so a plan adds its head's
-    occurrences to its body's counts of earlier ones."""
-    width = max(len(bits) for _, bits in plans)
-    ctxbit, seen, seen_bit = np.zeros((3, len(plans), width), dtype=np.intp)
-    contexts = []
-    for r, (tail, bits) in enumerate(plans):
-        body = body_of(bits)
-        more: dict = {}  # head contexts the body lacks
-        head, n_before, c_before = [], {}, {}
-        for t in range(min(order, len(bits))):
-            ctx = (tail + bits[:t])[-order:]
-            i = body.index.get(ctx)
-            if i is None:
-                i = more.setdefault(ctx, len(body.index) + len(more))
-            cb = 2 * i + (bits[t] == "1")
-            head.append(cb)
-            k, kb = n_before.get(i, 0), c_before.get(cb, 0)
-            seen[r, t], seen_bit[r, t] = k, kb
-            n_before[i], c_before[cb] = k + 1, kb + 1
-        h = len(head)
-        ctxbit[r, :h] = head
-        ctxbit[r, h:len(bits)] = body.ctxbit
-        in_head = np.bincount(np.array(head, dtype=np.intp),
-                              minlength=2 * (len(body.index) + len(more)))
-        seen[r, h:len(bits)] = (body.seen + (in_head[0::2] + in_head[1::2])
-                                [body.ctxbit >> 1])
-        seen_bit[r, h:len(bits)] = body.seen_bit + in_head[body.ctxbit]
-        contexts.append([*body.index, *more])
-    return _Plans(contexts, np.array([len(bits) for _, bits in plans]),
-                  ctxbit, seen, seen_bit)
-
-
-def _price(plans: _Plans, plan, first, coded, length, total, count):
-    """Joint costs of a chunk of pairs, pair i coding ``plan[i]``'s string
-    after ``coded[first[i]]``.  Each position costs ``total[n] - count[c]``,
-    with n and c the first state's counts of its context (and bit) plus the
-    plan's earlier ones.  ``np.cumsum`` sums each row from L(first), and
-    the sum is read at the row's own length (later columns pad the rows to
-    one width): the walk's float operations in its order."""
-    # each pair's first-state counts (zeros, ones) of its plan's contexts,
-    # end to end
-    counts, offset = [], []
-    for p, f in zip(plan.tolist(), first.tolist()):
-        offset.append(len(counts))
-        counts.extend(chain.from_iterable(map(
-            coded[f].state.counts.get, plans.contexts[p], repeat((0, 0)))))
-    of_ctxbit = np.array(counts, dtype=np.intp)
-    of_ctx = np.repeat(of_ctxbit[0::2] + of_ctxbit[1::2], 2)
-    size = plans.size[plan]
-    width = size.max()
-    at = np.array(offset)[:, None] + plans.ctxbit[plan, :width]
-    n = of_ctx[at] + plans.seen[plan, :width]
-    c = of_ctxbit[at] + plans.seen_bit[plan, :width]
-    row = np.empty((len(plan), width + 1))
-    row[:, 0] = length[first]
-    np.subtract(total[n], count[c], out=row[:, 1:])
-    return np.cumsum(row, axis=1)[np.arange(len(plan)), size]
-
-
-def _kt_joint_costs(order: int, coded, pairs: np.ndarray) -> np.ndarray:
-    """KT joint costs, equal (==) to ``extend_cost`` pair by pair.
-
-    Coding s after the first state F costs, at each position, the step
-    cost of a context seen n times, c of them with the coded bit: F's
-    counts of that context plus its occurrences earlier in s.  The
-    contexts and those occurrences depend only on s and F's tail context,
-    so each (tail, s) is planned once per call, in blocks; pairs are
-    sorted by (|s|, s, tail) and priced in chunks.
-    """
-    tails: dict = {}
-    tail_of = np.array([tails.setdefault(c.state.context, len(tails))
-                        for c in coded])
-    size = np.array([len(c.bits) for c in coded])
-    length = np.array([c.length for c in coded])
-    first, second = pairs[:, 0], pairs[:, 1]
-    by_plan = np.lexsort((tail_of[first], second, size[second]))
-    first, second = first[by_plan], second[by_plan]
-    tail = tail_of[first]
-    new = np.r_[True, (second[1:] != second[:-1]) | (tail[1:] != tail[:-1])]
-    plan_of = np.cumsum(new) - 1  # per sorted pair
-    opens = np.flatnonzero(new)   # per plan, its first sorted pair
-    # a context's count in F is at most |F|, and it occurs fewer than |s|
-    # times earlier in s
-    total, count = map(np.array, kt_log2_terms(
-        int(size[first].max() + size[second].max()) + 1))
-    width = size[second].tolist()
-    # plans of one string are adjacent, so one body is held at a time
-    body_of = lru_cache(maxsize=1)(partial(_body, order))
-    costs = np.empty(len(pairs))
-    for p, q in _runs(size[second[opens]].tolist(), _JOINT_CHUNK):
-        plans = _plans(order, [(coded[first[h]].state.context,
-                                coded[second[h]].bits)
-                               for h in opens[p:q].tolist()], body_of)
-        base = opens[p]
-        end = opens[q] if q < len(opens) else len(pairs)
-        for lo, hi in _runs(width[base:end], _JOINT_CHUNK):
-            lo, hi = base + lo, base + hi
-            costs[by_plan[lo:hi]] = _price(plans, plan_of[lo:hi] - p,
-                                           first[lo:hi], coded, length,
-                                           total, count)
-    return costs
 
 
 @dataclass
@@ -350,9 +189,9 @@ def distance_matrix(backend, items, measure: str = "ncd",
             raise type(exc)(f"pair ({i}, {i}): {exc}") from exc
     values = np.zeros((n, n))
     # the upper triangle, the diagonal included, in square tiles of about
-    # _JOINT_CHUNK pairs: a tile's second strings come from its rows and
-    # columns only, so few strings are planned per pair
-    side = math.isqrt(_JOINT_CHUNK)
+    # ktbatch._JOINT_CHUNK pairs: a tile's second strings come from its rows
+    # and columns only, so few strings are planned per pair
+    side = math.isqrt(ktbatch._JOINT_CHUNK)
     for lo in range(0, n, side):
         for left in range(lo, n, side):
             i, j = np.meshgrid(np.arange(lo, min(n, lo + side)),
@@ -390,7 +229,8 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
 
     A normalized metric would keep this at most 1; approximations need not.
     Exponential in neighborhood_len, which must be in
-    1..``MAX_NEIGHBORHOOD_LEN``.
+    1..``MAX_NEIGHBORHOOD_LEN``.  For nid and ncd, a neighbour y with
+    max(L(x), L(y)) = 0 raises ``UndefinedDistanceError`` naming y.
     """
     if not 1 <= neighborhood_len <= MAX_NEIGHBORHOOD_LEN:
         raise ValueError(
@@ -400,8 +240,16 @@ def kraft_diagnostic(backend, x: str, neighborhood_len: int,
     cx = _code(backend, x)
     ys = (y for y in bitutil.all_of_length(neighborhood_len) if y != x)
     total = 0.0
-    while block := [_code(backend, y) for y in
-                    islice(ys, max(1, _JOINT_CHUNK // neighborhood_len))]:
+    size = max(1, ktbatch._JOINT_CHUNK // neighborhood_len)
+    while block := [_code(backend, y) for y in islice(ys, size)]:
+        if measure != "info":
+            # the block's shortest neighbour has the smallest denominator
+            y = min(block, key=lambda c: c.length)
+            try:
+                _denom(cx.length, y.length)
+            except UndefinedDistanceError as exc:
+                raise UndefinedDistanceError(
+                    f"neighbour {y.bits}: {exc}") from exc
         d = _distances(backend, [cx] + block, measure,
                        np.zeros(len(block), dtype=np.intp),
                        np.arange(1, len(block) + 1))

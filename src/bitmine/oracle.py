@@ -3,8 +3,11 @@
 Enumerates every bit string up to a length cap and computes its support,
 with no pruning.  Only meant for desk-scale verification of the level-wise
 miner's search.  Each string is coded once from the initial coder state,
-which gives its code length and its signature.  Supports come from the
-same ``occurrence.support`` kernel the miner uses; that kernel is checked
+which gives its code length and its signature: a ``KTBackend`` codes each
+chunk of a length class in numpy with the batch module
+(``ktbatch.code_class``, ``==`` ``code_len``), every other backend with
+``occurrence.code_strings``.  Supports come from the same
+``occurrence.support`` kernel the miner uses; that kernel is checked
 against the sequential ``occurrence.frequency`` in the tests.
 """
 
@@ -12,14 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from . import bits as bitutil
+from .codelength import KTBackend
+from .ktbatch import code_class
 from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 # Strings of one length class counted per support call; bounds memory.
 _CHUNK = 2048
-# Budget cap: the oracle codes all 2**(max_len + 1) - 2 strings.
+# Budget cap: the oracle codes all 2**(max_len + 1) - 2 strings (and
+# ``code_class`` codes at most 48-bit strings).
 MAX_LEN = 20
 
 
@@ -50,6 +57,10 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     if len(T) < 1:
         raise ValueError("transaction set must be non-empty")
     occur_bound = params.entropy_bound(T.max_code_len(backend))
+    if isinstance(backend, KTBackend):
+        code = partial(code_class, backend.order)
+    else:
+        code = partial(code_strings, backend)
 
     result = {}
     termination_covered = False
@@ -57,7 +68,7 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
         min_code_len = math.inf
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):
-            coded = code_strings(backend, chunk)
+            coded = code(chunk)
             min_code_len = min(min_code_len, *(n for n, _ in coded.values()))
             # a string above the bound occurs in no transaction; support 0
             kept = [x for x in chunk if coded[x][0] <= occur_bound]

@@ -292,6 +292,31 @@ class TestFileErrors:
         assert f"data error: [Errno 21] Is a directory: '{tmp_path}/'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["mine", DATASET, *MINE_FLAGS, "--stats", "{dir}/"],
+         "[Errno 21] Is a directory: '{dir}/'"),
+        (["mine", DATASET, *MINE_FLAGS, "--out", "{dir}/no/result.txt"],
+         "[Errno 2] No such file or directory: '{dir}/no'"),
+        (["oracle", DATASET, "--epsilon", "4", "--out", "{dir}"],
+         "[Errno 21] Is a directory: '{dir}'"),
+        (["ncd", DATASET, "--out", "{dir}/no/matrix.txt"],
+         "[Errno 2] No such file or directory: '{dir}/no'"),
+        (["oracle", DATASET, "--epsilon", "4", "--out",
+          f"{DATASET}/result.txt"],
+         f"[Errno 20] Not a directory: '{DATASET}'"),
+    ], ids=["mine-stats", "mine-out", "oracle-out", "ncd-out",
+            "oracle-out-in-a-file"])
+    def test_unwritable_output_is_refused_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, error):
+        def refuse(path):
+            raise AssertionError("input read despite an unwritable output")
+
+        monkeypatch.setattr(bitmine.textio, "load_transactions", refuse)
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"data error: {error.format(dir=tmp_path)}" in err
+
     def test_input_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"0101\n\xff\n")

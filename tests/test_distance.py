@@ -14,7 +14,7 @@ from bitmine import (ExternalBackend, KTBackend, LZBackend, TransactionSet,
                      distance_matrix, gen_random, info_dist, kraft_diagnostic,
                      ncd, nid_estimate, triangle_violation_rate)
 from bitmine import bits as bitutil
-from bitmine import distance
+from bitmine import distance, ktbatch
 from bitmine.distance import _MEASURE_FN, MAX_NEIGHBORHOOD_LEN, DistanceMatrix
 
 from conftest import ZeroBackend
@@ -122,7 +122,7 @@ class TestMatrix:
                         ref = fn(backend, corpus[min(i, j)], corpus[max(i, j)])
                         assert m.values[i, j] == ref, (backend, measure, i, j)
 
-    @pytest.mark.parametrize("chunk", [3, distance._JOINT_CHUNK])
+    @pytest.mark.parametrize("chunk", [3, ktbatch._JOINT_CHUNK])
     @settings(max_examples=30, deadline=None)
     @given(order=st.sampled_from([0, 1, 2, 3, 4, 5, 6, 24]),
            short=st.lists(st.text(alphabet="01", min_size=1, max_size=64),
@@ -139,7 +139,7 @@ class TestMatrix:
         items = short + [long]
         rng.shuffle(items)
         backend = KTBackend(order)
-        with mock.patch.object(distance, "_JOINT_CHUNK", chunk):
+        with mock.patch.object(ktbatch, "_JOINT_CHUNK", chunk):
             for measure, fn in _MEASURE_FN.items():
                 m = distance_matrix(backend, items, measure)
                 for i in range(len(items)):
@@ -230,6 +230,37 @@ def test_kt_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - m.values.nbytes < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("measure", ["ncd", "nid"])
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_kt_matrix_of_long_items_is_bounded(order, measure):
+    # a joint of two 2**16-bit items, priced whole, would hold about 10 MB
+    # (40 MB at 2**18 bits); a long second string is priced a chunk at a
+    # time, in 2.0-2.4 MB with the term tables, which uncapped would add
+    # 1 MB here.  The items are coded before tracing, which makes the
+    # per-bit walk about 13 times slower.  The short item's joints take the
+    # batch.
+    rng = random.Random(order)
+    items = [random_bits(rng, 1 << 16) for _ in range(2)]
+    items.insert(1, random_bits(rng, 40))
+    backend = KTBackend(order)
+    fn = _MEASURE_FN[measure]
+    ref = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            ref[i, j] = ref[j, i] = fn(backend, items[i], items[j])
+    assert distance_matrix(backend, items, measure).values.tolist() == \
+        ref.tolist()
+    coded = [distance._code(backend, x) for x in items]
+    pairs = np.array([(i, j) for i in range(3) for j in range(3)])
+    tracemalloc.start()
+    try:
+        distance._joint_costs(backend, coded, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_cumsum_along_rows_adds_in_order():
@@ -368,3 +399,6 @@ def test_zero_code_lengths_leave_the_distance_undefined(measure):
     with pytest.raises(UndefinedDistanceError,
                        match=r"^pair \(0, 0\): both code lengths are zero$"):
         distance_matrix(zero, ["01", "10"], measure)
+    with pytest.raises(UndefinedDistanceError,
+                       match="^neighbour 00: both code lengths are zero$"):
+        kraft_diagnostic(zero, "01", 2, measure)

@@ -1,8 +1,8 @@
 import pytest
 
-from bitmine import (IncompleteEnumerationError, OccurrenceParams,
-                     OracleConfig, TransactionSet, enumerate_frequent,
-                     frequency)
+from bitmine import (IncompleteEnumerationError, KTBackend, MiningConfig,
+                     OccurrenceParams, OracleConfig, PlantSpec, TransactionSet,
+                     enumerate_frequent, frequency, gen_planted, mine)
 from bitmine import bits as bitutil
 
 SCALE = OccurrenceParams(c1=0.6, c2=0.3)
@@ -33,6 +33,18 @@ def test_counts_match_frequency(kt0, fixture_transactions):
                              OracleConfig(max_len=6))
     for pattern, count in out.items():
         assert count == frequency(kt0, SCALE, fixture_transactions, pattern)
+
+
+def test_equals_the_miner_at_a_high_kt_order():
+    # order 9 gives contexts of up to 9 bits, coded sparsely per row; both
+    # sides stop at 10 bits (the miner after level 4, step 2)
+    backend = KTBackend(9)
+    T, _ = gen_planted(PlantSpec(transaction_count=6, rng_seed=2))
+    result = mine(backend, SCALE, T,
+                  MiningConfig(epsilon=3, step_bits=2, max_level=4))
+    assert any(len(p.pattern) == 10 for p in result)
+    assert result.as_dict() == enumerate_frequent(backend, SCALE, T, 3,
+                                                  OracleConfig(max_len=10))
 
 
 def test_must_cover_termination_fails_loudly(kt0, fixture_transactions):
