@@ -285,6 +285,7 @@ def _cmd_ncd(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_outputs(args.out, None if args.random else args.manifest_out)
     if args.random:
         T = gen_random(args.count, (args.len_min, args.len_max), args.seed)
         manifest = None

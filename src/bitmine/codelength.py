@@ -99,21 +99,22 @@ class KTBackend:
         ``new`` only (``extend`` passes its copy of the counts as both)."""
         order = self.order
         total, count, log2 = _KT_LOG2_TOTAL, _KT_LOG2_COUNT, math.log2
+        size = len(total)  # the length of both lists; c0, c1 <= n
         for ch in bits:
             # a count pair is never empty, so ``or`` falls through only on
             # a context ``new`` does not hold
             c0, c1 = new.get(ctx) or counts.get(ctx, (0, 0))
             n = c0 + c1
             if ch == "1":
-                try:
+                if n < size:
                     cost += total[n] - count[c1]
-                except IndexError:
+                else:
                     cost += log2(2 * n + 2) - log2(2 * c1 + 1)
                 new[ctx] = (c0, c1 + 1)
             else:
-                try:
+                if n < size:
                     cost += total[n] - count[c0]
-                except IndexError:
+                else:
                     cost += log2(2 * n + 2) - log2(2 * c0 + 1)
                 new[ctx] = (c0 + 1, c1)
             if order:

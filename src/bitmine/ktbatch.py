@@ -4,18 +4,19 @@
 codes many at once with the walk's floats: a string's KT code length is a
 running sum of step costs ``total[n] - count[c]`` (``kt_log2_terms``),
 with n the earlier occurrences of the step's context and c those with the
-coded bit.  Both kernels gather those terms with numpy and add each row
-with ``np.cumsum``, which adds in the walk's order (numpy's ``sum`` adds
-pairwise and would round differently), so every result is ``==`` the
-walk's.
+coded bit.  A cost is a float sum, so ``==`` needs the walk's additions in
+its order (numpy's ``sum`` adds pairwise and would round differently).
 
 - ``_kt_joint_costs`` prices joints of coded items for
   ``distance._joint_costs``: each string coded after another's state, in
   chunks of at most ``_JOINT_CHUNK`` entries, a longer string a chunk of
-  it at a time, so memory does not grow with the items' length.
-- ``code_class`` codes one length class of the oracle from the initial
-  state, with each string's signature: ``occurrence.code_strings`` for a
-  ``KTBackend``.
+  it at a time, so memory does not grow with the items' length.  It adds
+  each row with ``np.cumsum``, which adds in order.
+- ``class_lengths`` codes a length class of the oracle from the initial
+  state, each string's length from its prefix's in the previous class:
+  the walk's own last addition.  ``class_groups`` groups a class's
+  strings by signature and builds each group's signature once, so
+  ``oracle.enumerate_frequent`` counts one string per group.
 """
 
 from __future__ import annotations
@@ -292,76 +293,107 @@ def _segmented_costs(order: int, coded, pairs: np.ndarray, total, count):
     return costs
 
 
-def code_class(order: int, strings: list) -> dict:
-    """``occurrence.code_strings(KTBackend(order), strings)`` for strings
-    of one length (at least 1 and at most 48 bits, which int64 keys hold):
-    {x: (L(x), signature of x)}, each L(x) ``==`` ``code_len(x)`` and equal
-    signatures sharing one object.
+def class_lengths(order: int, width: int, prev: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """L(x) of the ``width``-bit strings x whose integer values are
+    ``values``, each ``==`` ``code_len(x)``, from ``prev``, the lengths of
+    class ``width - 1`` (class 0 is ``[0.0]``).
 
-    The strings are rows of a bit matrix.  A position's context, the
-    previous ``min(t, order)`` bits as the walk keeps them, is the integer
-    ``(1 << j) | their value``, so no context axis spans 2**order.  A
-    stable sort of each row by context gives every position its number of
-    earlier positions with its context (the ranks ``_earlier`` gives a
-    flat key), and with its context and bit; the row's cumulative step
-    costs then give L(x).  The sorted row also lists each context's final
-    counts, in order of context, at the context's last position: rows with
-    equal lists (the short contexts fix the head) share a signature, built
-    once per group.
+    x without its last bit is ``v >> 1``, so L(x) is the walk's own last
+    addition, ``prev[v >> 1] + (total[n] - count[c])``.  The last bit's
+    context is its previous ``min(width - 1, order)`` bits.  A head step
+    (``width - 1 < order``) has a context no earlier position has, so
+    n = c = 0.  Otherwise n and c count the earlier positions t >= order
+    whose window, its context and bit ``v >> (width - 1 - t)`` masked to
+    ``order + 1`` bits, equals the last one's in its context, and in its
+    context and bit.
     """
-    k, width = len(strings), len(strings[0])
-    bit = (np.frombuffer("".join(strings).encode(), np.uint8)
-           .reshape(k, width) == ord("1"))
-    t = np.arange(width)
-    j = np.minimum(t, order)
-    ctx = (bit @ (1 << t[::-1]))[:, None] >> (width - t)
-    ctx &= (1 << j) - 1
-    ctx |= 1 << j
-    by_ctx = np.argsort(ctx, axis=1, kind="stable")
-    ctx = np.take_along_axis(ctx, by_ctx, 1)
-    bit = np.take_along_axis(bit, by_ctx, 1)
-    new = np.ones((k, width), dtype=bool)  # first position of its context
-    new[:, 1:] = ctx[:, 1:] != ctx[:, :-1]
-    start = np.maximum.accumulate(np.where(new, t, 0), axis=1)
-    seen = t - start
-    ones = np.cumsum(bit, axis=1)
-    ones -= bit
-    ones -= np.take_along_axis(ones, start, 1)  # earlier ones, its context
-    # step[n, c] is the walk's float total[n] - count[c]; n, c < width
     total, count = _terms(width)
-    step = total[:, None] - count[None, :]
-    cost = np.empty((k, width))
-    np.put_along_axis(cost, by_ctx,
-                      step[seen, np.where(bit, ones, seen - ones)], 1)
-    lengths = np.cumsum(cost, axis=1)[:, -1].tolist()
+    last = width - 1
+    mask = (2 << order) - 1
+    n = np.zeros(len(values), dtype=np.intp)
+    c = np.zeros(len(values), dtype=np.intp)
+    for t in range(order, last):
+        same = (values >> (last - t) ^ values) & mask
+        c += same == 0
+        n += same < 2
+    return prev[values >> 1] + (total[n] - count[c])
 
-    # each context's (context, zeros, ones) as one key, at its last
-    # position; other positions hold 0
-    last = np.ones((k, width), dtype=bool)
-    last[:, :-1] = new[:, 1:]
+
+class Groups(NamedTuple):
+    """The signature groups of a chunk of one length class."""
+    group: np.ndarray  # per string, its group (numbered by first member)
+    first: np.ndarray  # per group, the index of its first member
+    reps: list         # per group, its first member as a string
+    sigs: list         # per group, its signature, in ``signature``'s form
+
+
+def class_groups(order: int, width: int, values: np.ndarray) -> Groups:
+    """Group the ``width``-bit strings whose ascending integer values are
+    ``values`` (at most 20 bits) exactly as ``KTBackend(order).signature``
+    partitions them.
+
+    A signature is the head (the first ``min(order, width)`` bits) and
+    the counts of each later position's context and bit, that is the
+    multiset of its windows (as in ``class_lengths``), so a group is one
+    (head, row-sorted windows).  Each group's signature is built once,
+    from its first member: a head context x[:t] is seen once, with bit
+    x[t], and a full context's zeros and ones are its windows' counts.
+    """
+    head = min(order, width)
+    shift = np.arange(width - 1 - order, -1, -1)
+    windows = np.sort(values[:, None] >> shift & ((2 << order) - 1), axis=1)
+    # the head, then the sorted windows packed into as few keys as hold them
+    keys = [values >> (width - head)]
+    per = 63 // (order + 1)
+    for j in range(0, len(shift), per):
+        keys.append(np.zeros_like(values))
+        for column in windows.T[j:j + per]:
+            keys[-1] <<= order + 1
+            keys[-1] |= column
+    by = np.lexsort(keys)
+    new = np.ones(len(values), dtype=bool)  # first of its group, in ``by``
+    new[1:] = np.any([np.diff(key[by]) != 0 for key in keys], axis=0)
+    # the sort is stable, so each group's first member comes first
+    lead = np.empty_like(by)  # per string, its group's first member
+    lead[by] = by[new][np.cumsum(new) - 1]
+    first, group = np.unique(lead, return_inverse=True)
+    rep = values[first]
+    fmt = f"0{width}b"
+    reps = [format(v, fmt) for v in rep.tolist()]
+
+    # Each (context, (zeros, ones)) of a group as one integer code, which
+    # orders contexts as ``signature`` sorts their strings: a context of
+    # j bits ranks by its value padded to ``head`` bits, then by j.  Each
+    # group's codes are sorted in one row, padded past its contexts.
     span = width + 1
-    ones += bit
-    key = ctx * span
-    key += seen + 1 - ones
-    key *= span
-    key += ones
-    key *= last
-    rows, size = key.tobytes(), key.itemsize * width
-    groups: dict = {}
-    group = [groups.setdefault(rows[i:i + size], len(groups))
-             for i in range(0, len(rows), size)]
-    _, first = np.unique(group, return_index=True)
-    # one (context, (zeros, ones)) object per distinct key of the groups'
-    # first rows; each group lists them sorted by context string, as
-    # ``signature`` does
-    listed = last[first]
-    keys, which = np.unique(key[first][listed], return_inverse=True)
+    t = np.arange(head)
+    bit = rep[:, None] >> (width - 1 - t) & 1
+    key = (rep[:, None] >> (width - t) << (head - t)) * (head + 1) + t
+    rows = windows[first]
+    ctx = rows >> 1
+    starts = np.ones(ctx.shape, dtype=bool)  # first window of a context
+    starts[:, 1:] = ctx[:, 1:] != ctx[:, :-1]
+    at = np.flatnonzero(starts)
+    ones = np.add.reduceat((rows & 1).ravel(), at)
+    zeros = np.diff(at, append=ctx.size) - ones
+    pad = np.iinfo(np.int64).max
+    body = np.full(ctx.size, pad)
+    body[at] = ((ctx.ravel()[at] * (head + 1) + head) * span
+                + zeros) * span + ones
+    codes = np.sort(np.hstack(((key * span + 1 - bit) * span + bit,
+                               body.reshape(ctx.shape))), axis=1)
+    listed = codes != pad
+    distinct, which = np.unique(codes[listed], return_inverse=True)
     pairs = []
-    for code in keys.tolist():
-        c, counts = divmod(code, span * span)
-        pairs.append((bin(c)[3:], divmod(counts, span)))
-    listing = [pairs[i] for i in which.tolist()]
+    for code in distinct.tolist():
+        key, counts = divmod(code, span * span)
+        value, j = divmod(key, head + 1)
+        pairs.append((format(value >> (head - j) | 1 << j, "b")[1:],
+                      divmod(counts, span)))
+    objects = np.fromiter(pairs, dtype=object, count=len(pairs))
+    listing = objects[which].tolist()
     ends = np.cumsum(listed.sum(axis=1)).tolist()
-    sigs = [(strings[r][:order], tuple(sorted(listing[a:b])))
-            for r, a, b in zip(first.tolist(), [0, *ends], ends)]
-    return dict(zip(strings, zip(lengths, map(sigs.__getitem__, group))))
+    sigs = [(x[:order], tuple(listing[a:b]))
+            for x, a, b in zip(reps, [0, *ends], ends)]
+    return Groups(group, first, reps, sigs)

@@ -348,6 +348,14 @@ class TestGen:
         assert [e.bits for e in entries] == parse_transactions(read(out).splitlines())
         assert sum(e.planted for e in entries) == 40
 
+    def test_manifest_in_a_missing_directory_writes_nothing(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "d.txt"
+        assert main(["gen", "--count", "5", "--seed", "3", "--out", str(out),
+                     "--manifest-out", str(tmp_path / "nodir" / "m.jsonl")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_dataset_matches_library(self, tmp_path):
         out = tmp_path / "r.txt"
         assert main(["gen", "--random", "--count", "12", "--len-min", "24",

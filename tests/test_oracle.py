@@ -4,6 +4,7 @@ from bitmine import (IncompleteEnumerationError, KTBackend, MiningConfig,
                      OccurrenceParams, OracleConfig, PlantSpec, TransactionSet,
                      enumerate_frequent, frequency, gen_planted, mine)
 from bitmine import bits as bitutil
+from bitmine import oracle
 
 SCALE = OccurrenceParams(c1=0.6, c2=0.3)
 
@@ -45,6 +46,23 @@ def test_equals_the_miner_at_a_high_kt_order():
     assert any(len(p.pattern) == 10 for p in result)
     assert result.as_dict() == enumerate_frequent(backend, SCALE, T, 3,
                                                   OracleConfig(max_len=10))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 9])
+def test_kt_classes_carry_over_chunk_boundaries(order, fixture_transactions,
+                                                monkeypatch):
+    # each chunk reads the previous class's lengths and counts one string
+    # per signature group of its own; chunks of 3 and 5 strings split
+    # every class and its groups differently
+    backend = KTBackend(order)
+    config = OracleConfig(max_len=10)
+    expected = enumerate_frequent(backend, SCALE, fixture_transactions, 4,
+                                  config)
+    assert len(expected) > 200
+    for chunk in (3, 5):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert enumerate_frequent(backend, SCALE, fixture_transactions, 4,
+                                  config) == expected
 
 
 def test_must_cover_termination_fails_loudly(kt0, fixture_transactions):
