@@ -15,8 +15,26 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
 - ``class_lengths`` codes a length class of the oracle from the initial
   state, each string's length from its prefix's in the previous class:
   the walk's own last addition.  ``class_groups`` groups a class's
-  strings by signature and builds each group's signature once, so
-  ``oracle.enumerate_frequent`` counts one string per group.
+  strings by signature, so ``oracle.enumerate_frequent`` counts one string
+  per group.
+- The level coder codes a whole level of the KT miner.  A ``Frontier``
+  keeps no coder state: per pattern its L(p), its tail (the coder context
+  after it), its head (its first ``order`` bits) and its count row, the
+  (zeros, ones) of each full-length context in it; a shorter context
+  occurs only at its own position, within the head, so it needs no
+  count.  A child's steps depend only on its parent's tail and its
+  suffix, so ``code_level`` plans each distinct (tail, suffix) once and
+  adds each child's steps to its parent's L(p), a column at a time.
+  ``children`` adds each plan's counts to its parent's row, ``groups``
+  partitions the rows by (head, row), and ``narrow`` keeps the frequent
+  children as the next frontier.  Rows are sparse, so memory follows the
+  contexts that occur, not the 2**order that may.
+- ``Groups`` is the one form in which the KT closed form
+  (``occurrence.support``) takes signature groups, as count arrays:
+  ``class_groups`` gives it for the oracle, ``groups`` for each level of
+  the miner, and ``string_groups`` for plain strings.  ``head_steps``
+  gives the closed form each head's steps after each transaction's tail
+  from integer windows, with no walk.
 """
 
 from __future__ import annotations
@@ -320,80 +338,344 @@ def class_lengths(order: int, width: int, prev: np.ndarray,
     return prev[values >> 1] + (total[n] - count[c])
 
 
+
+
 class Groups(NamedTuple):
-    """The signature groups of a chunk of one length class."""
-    group: np.ndarray  # per string, its group (numbered by first member)
-    first: np.ndarray  # per group, the index of its first member
-    reps: list         # per group, its first member as a string
-    sigs: list         # per group, its signature, in ``signature``'s form
+    """Signature groups of KT-coded strings, in the one form the KT closed
+    form (``occurrence.support``) takes from every producer.  A group is
+    one (head, count row): its strings' first ``order`` bits and the
+    (zeros, ones) of each full-length context after them, which is
+    ``signature``'s partition (shorter contexts lie within the head)."""
+    group: np.ndarray   # per string, its group, numbered by first member
+    first: np.ndarray   # per group, the index of its first member
+    length: np.ndarray  # per group, L(x) of its members
+    head: np.ndarray    # per group, its head, as an index into ``names``
+    body: np.ndarray    # (group, context, zeros, ones) per full-length
+                        # context of a group, by group; contexts index ``names``
+    names: list         # the strings that ``head`` and ``body`` index
 
 
-def class_groups(order: int, width: int, values: np.ndarray) -> Groups:
+def _pack(columns: np.ndarray, bits: int) -> list:
+    """The rows of ``columns`` (values in [0, 2**bits)) packed into as few
+    int64 keys as hold them, each key one value per column."""
+    per = max(1, 63 // max(1, bits))
+    return [np.bitwise_or.reduce(
+                part << (bits * np.arange(len(part)))[:, None], axis=0)
+            for part in (columns[j:j + per]
+                         for j in range(0, len(columns), per))]
+
+
+def _partition(keys: list):
+    """(group of each column, first column of each group) of ``keys``, equal
+    columns of int keys sharing a group, groups numbered by first member."""
+    keys = np.array(keys)
+    by = np.lexsort(keys)
+    new = np.ones(len(by), dtype=bool)  # first of its group, in ``by``
+    new[1:] = np.any(np.diff(keys[:, by], axis=1) != 0, axis=0)
+    # the sort is stable, so each group's first member comes first
+    lead = np.empty_like(by)  # per column, its group's first member
+    lead[by] = by[new][np.cumsum(new) - 1]
+    leads = lead == np.arange(len(lead))
+    return (np.cumsum(leads) - 1)[lead], np.flatnonzero(leads)
+
+
+def _spans(start: np.ndarray, which: np.ndarray):
+    """(k, i) for every entry i in ``start[w]:start[w + 1]`` of each
+    ``w = which[k]``, in order."""
+    lo = start[which]
+    size = start[which + 1] - lo
+    k = np.repeat(np.arange(len(which)), size)
+    return k, np.arange(len(k)) + np.repeat(lo - np.cumsum(size) + size, size)
+
+
+def _bits(value: int, width: int) -> str:
+    return format(value | 1 << width, "b")[1:]
+
+
+def class_groups(order: int, width: int, values: np.ndarray,
+                 lengths: np.ndarray) -> Groups:
     """Group the ``width``-bit strings whose ascending integer values are
-    ``values`` (at most 20 bits) exactly as ``KTBackend(order).signature``
-    partitions them.
+    ``values`` (at most 20 bits), of lengths ``lengths``, exactly as
+    ``KTBackend(order).signature`` partitions them.
 
-    A signature is the head (the first ``min(order, width)`` bits) and
-    the counts of each later position's context and bit, that is the
-    multiset of its windows (as in ``class_lengths``), so a group is one
-    (head, row-sorted windows).  Each group's signature is built once,
-    from its first member: a head context x[:t] is seen once, with bit
-    x[t], and a full context's zeros and ones are its windows' counts.
+    A string's count row is the multiset of its windows (as in
+    ``class_lengths``), so a group is one (head, row-sorted windows).  A
+    group's body is read off its first member's sorted windows: each run
+    of one context gives its zeros and ones.
     """
     head = min(order, width)
-    shift = np.arange(width - 1 - order, -1, -1)
-    windows = np.sort(values[:, None] >> shift & ((2 << order) - 1), axis=1)
-    # the head, then the sorted windows packed into as few keys as hold them
-    keys = [values >> (width - head)]
-    per = 63 // (order + 1)
-    for j in range(0, len(shift), per):
-        keys.append(np.zeros_like(values))
-        for column in windows.T[j:j + per]:
-            keys[-1] <<= order + 1
-            keys[-1] |= column
-    by = np.lexsort(keys)
-    new = np.ones(len(values), dtype=bool)  # first of its group, in ``by``
-    new[1:] = np.any([np.diff(key[by]) != 0 for key in keys], axis=0)
-    # the sort is stable, so each group's first member comes first
-    lead = np.empty_like(by)  # per string, its group's first member
-    lead[by] = by[new][np.cumsum(new) - 1]
-    first, group = np.unique(lead, return_inverse=True)
-    rep = values[first]
-    fmt = f"0{width}b"
-    reps = [format(v, fmt) for v in rep.tolist()]
-
-    # Each (context, (zeros, ones)) of a group as one integer code, which
-    # orders contexts as ``signature`` sorts their strings: a context of
-    # j bits ranks by its value padded to ``head`` bits, then by j.  Each
-    # group's codes are sorted in one row, padded past its contexts.
-    span = width + 1
-    t = np.arange(head)
-    bit = rep[:, None] >> (width - 1 - t) & 1
-    key = (rep[:, None] >> (width - t) << (head - t)) * (head + 1) + t
+    shift = np.arange(width - 1 - order, -1, -1)  # none when order >= width
+    windows = np.sort(values[:, None] >> shift & ((2 << head) - 1), axis=1)
+    heads = values >> (width - head)
+    group, first = _partition([heads, *_pack(windows.T, head + 1)])
+    heads, head_of = np.unique(heads[first], return_inverse=True)
+    names = [_bits(v, head) for v in heads.tolist()]
     rows = windows[first]
     ctx = rows >> 1
     starts = np.ones(ctx.shape, dtype=bool)  # first window of a context
     starts[:, 1:] = ctx[:, 1:] != ctx[:, :-1]
     at = np.flatnonzero(starts)
-    ones = np.add.reduceat((rows & 1).ravel(), at)
-    zeros = np.diff(at, append=ctx.size) - ones
-    pad = np.iinfo(np.int64).max
-    body = np.full(ctx.size, pad)
-    body[at] = ((ctx.ravel()[at] * (head + 1) + head) * span
-                + zeros) * span + ones
-    codes = np.sort(np.hstack(((key * span + 1 - bit) * span + bit,
-                               body.reshape(ctx.shape))), axis=1)
-    listed = codes != pad
-    distinct, which = np.unique(codes[listed], return_inverse=True)
-    pairs = []
-    for code in distinct.tolist():
-        key, counts = divmod(code, span * span)
-        value, j = divmod(key, head + 1)
-        pairs.append((format(value >> (head - j) | 1 << j, "b")[1:],
-                      divmod(counts, span)))
-    objects = np.fromiter(pairs, dtype=object, count=len(pairs))
-    listing = objects[which].tolist()
-    ends = np.cumsum(listed.sum(axis=1)).tolist()
-    sigs = [(x[:order], tuple(listing[a:b]))
-            for x, a, b in zip(reps, [0, *ends], ends)]
-    return Groups(group, first, reps, sigs)
+    body = np.zeros((4, len(at)), dtype=np.intp)
+    if len(at):
+        ones = np.add.reduceat((rows & 1).ravel(), at)
+        contexts, context = np.unique(ctx.ravel()[at], return_inverse=True)
+        names += [_bits(v, order) for v in contexts.tolist()]
+        body[:] = (at // ctx.shape[1], context + len(heads),
+                   np.diff(at, append=ctx.size) - ones, ones)
+    return Groups(group, first, lengths[first], head_of, body, names)
+
+
+# Largest KT order whose context ids, (1 << j) | value for a context of
+# j <= order bits, fit an int64.
+ID_ORDER = 62
+# Largest (head, tail, step) block ``head_steps`` builds at once.
+_HEAD_BLOCK = 1 << 14
+
+
+def _values(strings):
+    """(value, bits) of each bit string of at most ``ID_ORDER`` bits."""
+    return (np.array([int(x or "0", 2) for x in strings], dtype=np.intp),
+            np.array([len(x) for x in strings], dtype=np.intp))
+
+
+def context_ids(contexts) -> np.ndarray:
+    """The id (1 << j) | value of each context string of j bits."""
+    value, size = _values(contexts)
+    return (1 << size) | value
+
+
+def _distinct(ids: np.ndarray, size: int):
+    """The distinct values of ``ids`` (all in [0, size)), ascending, and
+    the rank among them of each value in [0, size)."""
+    used = np.zeros(size, dtype=bool)
+    used[ids] = True
+    return np.flatnonzero(used), np.cumsum(used) - 1
+
+
+def head_steps(order: int, tails: list, heads: list):
+    """Every step of every head coded after every tail, as
+    ``KTBackend._walk`` codes it: (tail, context id, bit) per step, by
+    head, tail and step, and each head's first step.
+
+    Step i of head h after tail t has the context of the last
+    min(order, |t| + i) bits of t + h[:i] (a tail is a coder context, at
+    most ``order`` <= ``ID_ORDER`` bits).  It is read from integer windows
+    of the tail and head values, a block of heads at a time, with no walk.
+    """
+    tv, tl = _values(tails)
+    hv, hl = _values(heads)
+    width = int(hl.max(initial=0))
+    starts = np.concatenate(([0], np.cumsum(hl * len(tails))))
+    tail = np.empty(starts[-1], dtype=np.int32)
+    ids = np.empty(starts[-1], dtype=np.intp)
+    bit = np.empty(starts[-1], dtype=np.int8)
+    per = max(1, _HEAD_BLOCK // max(1, len(tails) * width))
+    for lo in range(0, len(heads) if width else 0, per):
+        valid = np.arange(width) < hl[lo:lo + per, None]
+        h, t, i = np.nonzero(np.broadcast_to(
+            valid[:, None], (len(valid), len(tails), width)))
+        h += lo
+        size = np.minimum(order, tl[t] + i)  # bits of the context
+        from_tail = tv[t] & ((1 << (size - i)) - 1)
+        at = slice(starts[lo], starts[lo] + len(h))
+        tail[at] = t
+        ids[at] = (1 << size) | from_tail << i | hv[h] >> (hl[h] - i)
+        bit[at] = hv[h] >> (hl[h] - 1 - i) & 1
+    return tail, ids, bit, starts
+
+
+class Frontier(NamedTuple):
+    """KT patterns as the level coder keeps them, with no coder state."""
+    names: list         # the strings that tail, head and rows' contexts index
+    length: np.ndarray  # per pattern, L(p)
+    tail: np.ndarray    # per pattern, its last ``order`` bits (all, if fewer)
+    head: np.ndarray    # per pattern, its first ``order`` bits (all, if fewer)
+    rows: np.ndarray    # (pattern, context, zeros, ones) per full-length
+                        # context of a pattern, by pattern, then context
+
+
+def root() -> Frontier:
+    """The frontier of the empty string alone."""
+    zero = np.zeros(1, dtype=np.intp)
+    return Frontier([""], np.zeros(1), zero, zero,
+                    np.zeros((4, 0), dtype=np.intp))
+
+
+class Level(NamedTuple):
+    """The children of a frontier, each pattern followed by each suffix,
+    pattern by pattern."""
+    frontier: Frontier
+    names: list          # the frontier's names, then those the plans added
+    length: np.ndarray   # per child, L(x)
+    plan: np.ndarray     # per child, its plan
+    tail: np.ndarray     # per plan, the tail after it
+    head: np.ndarray     # per plan, the child's head, or -1: the parent's
+    inc: np.ndarray      # (plan, context, zeros, ones) per full-length
+                         # context of a plan's steps, by plan, then context
+
+
+def _plan(order: int, tail: str, bits: str, width: int, intern) -> tuple:
+    """The steps of ``bits`` after a parent whose coder context is
+    ``tail``, as four rows of ``width`` end to end: per step its context
+    (-1 for a head step, whose context is the whole string before it and
+    so occurs nowhere else, and for padding), its earlier occurrences in
+    ``bits`` with that context and with that context and bit, and its bit
+    (-1 for padding).  Then the tail after ``bits``, the child's head (-1
+    when the parent's is whole) and the plan's [zeros, ones] per
+    context."""
+    row = [-1] * width + [0] * (2 * width) + [-1] * width
+    ctx, inc = tail, {}
+    for j, ch in enumerate(bits):
+        b = ch == "1"
+        row[3 * width + j] = b
+        if len(ctx) == order:
+            i = intern(ctx)
+            counts = inc.get(i)
+            if counts is None:
+                counts = inc[i] = [0, 0]
+            row[j], row[width + j] = i, counts[0] + counts[1]
+            row[2 * width + j] = counts[b]
+            counts[b] += 1
+        ctx = (ctx + ch)[-order:] if order else ""
+    head = intern((tail + bits)[:order]) if len(tail) < order else -1
+    return row, intern(ctx), head, inc
+
+
+# The walk's KT term tables for counts below 1,024, for the level coder
+# (``_step`` computes larger terms).
+_LEVEL_TERMS = tuple(_terms(1 << 10))
+
+
+def code_level(order: int, frontier: Frontier, suffixes: list) -> Level:
+    """Code every child of ``frontier``, each pattern followed by each of
+    ``suffixes`` (pattern by pattern), each L(x) ``==`` ``code_len(x)``.
+
+    A child's L(x) continues its parent's L(p) step by step, in the
+    walk's order, as ``L + (total[n] - count[c])``: n and c are the
+    parent's counts of the step's context (and bit) plus the plan's
+    earlier steps.  A head step reads n = c = 0, and a padded step (past
+    a shorter suffix) adds nothing.
+    """
+    names = list(frontier.names)
+    index = {name: i for i, name in enumerate(names)}
+
+    def intern(name):
+        i = index.get(name)
+        if i is None:
+            i = index[name] = len(names)
+            names.append(name)
+        return i
+
+    width = max(map(len, suffixes))
+    tails, rank = _distinct(frontier.tail, len(names))
+    plans = [_plan(order, names[t], s, width, intern)
+             for t in tails.tolist() for s in suffixes]
+    steps, tail, head, incs = zip(*plans)
+    inc = np.array([(p, ctx, *counts) for p, of in enumerate(incs)
+                    for ctx, counts in sorted(of.items())],
+                   dtype=np.intp).reshape(-1, 4).T
+
+    n_suffix = len(suffixes)
+    plan = (rank[frontier.tail, None] * n_suffix
+            + np.arange(n_suffix)).ravel()
+    parent = np.repeat(np.arange(len(frontier.length)), n_suffix)
+    context, seen, seen_bit, bit = np.array(steps, dtype=np.intp)[plan] \
+        .reshape(len(plan), 4, width).transpose(1, 0, 2)
+    # the parent's counts of each step's context: its row's entry, or 0
+    # for a context it lacks (a new or head context reads one past them)
+    rows = frontier.rows
+    base = len(names) + 1
+    keys = np.append(rows[0] * base + rows[1], -1)
+    want = parent[:, None] * base + np.where(context < 0, len(names), context)
+    at = np.searchsorted(keys[:-1], want)
+    hit = keys[at] == want
+    zeros = np.where(hit, np.append(rows[2], 0)[at], 0)
+    ones = np.where(hit, np.append(rows[3], 0)[at], 0)
+    n = zeros + ones + seen
+    step = _step(n, np.where(bit == 1, ones, zeros) + seen_bit, *_LEVEL_TERMS)
+    step[bit < 0] = 0.0
+    length = frontier.length[parent]
+    for j in range(width):
+        length += step[:, j]
+    return Level(frontier, names, length, plan, np.array(tail, dtype=np.intp),
+                 np.array(head, dtype=np.intp), inc)
+
+
+def children(level: Level, keep: np.ndarray) -> Frontier:
+    """The children ``keep`` (ascending) of a coded level as a frontier:
+    each one's row is its parent's plus its plan's counts."""
+    frontier = level.frontier
+    n_suffix = len(level.length) // len(frontier.length)
+    parent, plan = keep // n_suffix, level.plan[keep]
+    child, at = _spans(np.searchsorted(frontier.rows[0],
+                                       np.arange(len(frontier.length) + 1)),
+                       parent)
+    rows = frontier.rows[:, at]
+    rows[0] = child
+    child, at = _spans(np.searchsorted(level.inc[0],
+                                       np.arange(len(level.tail) + 1)), plan)
+    inc = level.inc[:, at]
+    inc[0] = child
+    # each plan count adds to its child's entry for its context, or is
+    # inserted where that entry would be, keeping the rows sorted
+    base = len(level.names)
+    keys = np.append(rows[0] * base + rows[1], -1)
+    want = inc[0] * base + inc[1]
+    at = np.searchsorted(keys[:-1], want)
+    new = keys[at] != want
+    rows[2:, at[~new]] += inc[2:, ~new]
+    rows = np.insert(rows, at[new], inc[:, new], axis=1)
+    head = level.head[plan]
+    return Frontier(level.names, level.length[keep], level.tail[plan],
+                    np.where(head < 0, frontier.head[parent], head), rows)
+
+
+def narrow(frontier: Frontier, keep: np.ndarray) -> Frontier:
+    """The patterns ``keep`` (in that order) of ``frontier``, holding
+    only the names they use."""
+    number = np.full(len(frontier.length), -1)
+    number[keep] = np.arange(len(keep))
+    rows = frontier.rows[:, number[frontier.rows[0]] >= 0]
+    rows[0] = number[rows[0]]
+    rows = rows[:, np.argsort(rows[0], kind="stable")]
+    tail, head = frontier.tail[keep], frontier.head[keep]
+    used, rank = _distinct(np.concatenate((tail, head, rows[1])),
+                           len(frontier.names))
+    rows[1] = rank[rows[1]]
+    return Frontier([frontier.names[i] for i in used.tolist()],
+                    frontier.length[keep], rank[tail], rank[head], rows)
+
+
+def groups(frontier: Frontier) -> Groups:
+    """The signature groups of a frontier's patterns, equal (head, row),
+    in the closed form's form; each group's body is its first member's
+    row."""
+    member, ctx, zeros, ones = frontier.rows
+    n = len(frontier.length)
+    if not n:
+        empty = np.zeros(0, dtype=np.intp)
+        return Groups(empty, empty, frontier.length, empty, frontier.rows,
+                      frontier.names)
+    # each row's (context, zeros, ones) codes, one column per member,
+    # padded with 0, then packed
+    size = np.bincount(member, minlength=n)
+    span = int(max(zeros.max(initial=0), ones.max(initial=0))) + 1
+    code = (ctx * span + zeros) * span + ones + 1
+    grid = np.zeros((size.max(), n), dtype=np.intp)
+    grid[np.arange(len(member)) - (np.cumsum(size) - size)[member],
+         member] = code
+    group, first = _partition([frontier.head, *_pack(
+        grid, int(code.max(initial=0)).bit_length())])
+    number = np.full(n, -1)
+    number[first] = np.arange(len(first))
+    body = frontier.rows[:, number[member] >= 0]
+    body[0] = number[body[0]]
+    return Groups(group, first, frontier.length[first], frontier.head[first],
+                  body, frontier.names)
+
+
+def string_groups(order: int, strings: list) -> Groups:
+    """The signature groups, with L(x), of plain strings, each coded as a
+    child of the empty string."""
+    level = code_level(order, root(), strings)
+    return groups(children(level, np.arange(len(strings))))

@@ -3,9 +3,14 @@
 Seeds with every frequent pattern of length 1..n, then repeatedly extends
 the surviving patterns by exactly n bits, counts candidate occurrences in a
 single pass over the transaction set, and prunes candidates below the
-support threshold.  A candidate is coded by extending its parent's coder
-state by its n new bits, so the miner keeps one coder state per surviving
-pattern, with the transactions it occurs in where the count reports them.
+support threshold.  A candidate is coded from its parent, continuing the
+parent's L(p), so L(x) is bit-identical to coding x from scratch.  For a
+``KTBackend`` the frontier is count arrays (``ktbatch.Frontier``): one
+``ktbatch.code_level`` call codes a whole level in numpy, and the kept
+children's count rows give their signature groups and, for the frequent
+ones, the next frontier.  Every other backend keeps one coder state per
+surviving pattern and extends it by the n new bits.  The frontier keeps
+the transactions each pattern occurs in where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -25,7 +30,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bits as bitutil
+from . import ktbatch
+from .codelength import KTBackend
 from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 MODES = ("sound", "heuristic")
@@ -142,18 +151,67 @@ def _prefilter(backend, params, candidates, max_len_y, code_len):
 def _run_level(backend, params, T, config, candidates, parents, level, start):
     """Code, prefilter and count one level's candidates.
 
-    ``parents`` maps each pattern of the frontier to (its coder state, its
-    L, its occurrence list or None); a candidate is coded from its parent's
-    state by its last ``step_bits`` bits.  A seed candidate is at most
-    ``step_bits`` long, so the same slice gives it the empty parent and all
-    of its bits.  Returns the frequent patterns, the frontier for the next
-    level (in the same form) and the level's ``LevelStats``.  Only the
-    frequent patterns' states are built and kept, so memory follows the
-    frontier, not the candidates.  Each candidate's parent and its
+    Each candidate is a pattern of the frontier ``parents`` followed by
+    ``step_bits`` bits, pattern by pattern, as ``generate`` lists them; the
+    seed candidates are the children of the empty pattern.  Returns the
+    frequent patterns, the frontier for the next level (in the same form)
+    and the level's ``LevelStats``.  Each candidate's parent and its
     occurrence list (None, from the KT closed form, stands for every
     transaction) go to ``support``, which alone decides whether the list
     may prune.  For the external adapter it never may, so that backend's
     frontier keeps exact occurrence lists that nothing reads.
+    """
+    code = _kt_level if isinstance(backend, KTBackend) else _state_level
+    return code(backend, params, T, config, candidates, parents, level, start)
+
+
+def _kt_level(backend, params, T, config, candidates, parents, level, start):
+    """``_run_level`` for a KT backend, whose frontier is (its
+    ``ktbatch.Frontier``, {pattern: its occurrence list or None}, in
+    frontier order).  One ``ktbatch.code_level`` call codes the whole level
+    from the parents' counts, and the kept children's count rows give both
+    their signature groups and the next frontier, so no coder state is
+    built."""
+    frontier, occurs_in = parents
+    first = len(next(iter(occurs_in)))  # its children come first
+    coded = ktbatch.code_level(
+        backend.order, frontier,
+        [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
+    code_len = dict(zip(candidates, coded.length.tolist())).__getitem__
+    max_len_y = T.max_code_len(backend)
+    kept = _prefilter(backend, params, candidates, max_len_y, code_len)
+    # the prefilter's own test, on the array of lengths
+    kept_at = np.flatnonzero(coded.length <= params.entropy_bound(max_len_y))
+    children = ktbatch.children(coded, kept_at)
+
+    def parent(x):
+        p = x[:-config.step_bits]
+        return p, occurs_in[p]
+
+    counts = _count_pass(backend, params, T, kept, ktbatch.groups(children),
+                         parent)
+    eps = config.resolve_epsilon(len(T))
+    n = np.fromiter(map(counts.__getitem__, kept), np.intp, len(kept))
+    chosen = sorted(np.flatnonzero(n >= eps).tolist(), key=kept.__getitem__)
+    frequent = [FrequentPattern(kept[i], c, length, level) for i, c, length
+                in zip(chosen, n[chosen].tolist(),
+                       children.length[chosen].tolist())]
+    found = counts.occurrences or {}
+    frontier = (ktbatch.narrow(children, np.array(chosen, dtype=np.intp)),
+                {p.pattern: found.get(p.pattern) for p in frequent})
+    stats = LevelStats(level, len(candidates), len(kept), counts.groups,
+                       counts.pairs, len(frequent), time.perf_counter() - start)
+    return frequent, frontier, stats
+
+
+def _state_level(backend, params, T, config, candidates, parents, level,
+                 start):
+    """``_run_level`` for every other backend, whose frontier maps each
+    pattern to (its coder state, its L, its occurrence list or None).  A
+    candidate is coded from its parent's state by its last ``step_bits``
+    bits (a seed candidate, at most ``step_bits`` long, gets the empty
+    parent and all of its bits).  Only the frequent patterns' states are
+    built and kept, so memory follows the frontier, not the candidates.
     """
     cut = -config.step_bits
 
@@ -192,7 +250,10 @@ def _seed(backend, params, T, config):
     candidates = []
     for length in range(1, config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
-    root = {"": (backend.initial_state(), 0.0, None)}
+    if isinstance(backend, KTBackend):
+        root = (ktbatch.root(), {"": None})
+    else:
+        root = {"": (backend.initial_state(), 0.0, None)}
     return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 

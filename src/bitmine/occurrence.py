@@ -13,12 +13,15 @@ additive form.  All inequalities are non-strict.
 
 ``frequency`` is the definitional count: one sequential coder call per
 transaction.  ``support`` counts many candidates at once.  For the KT
-backend it evaluates L(y||x) - L(y) in closed form with numpy and hands
-every pair within ``REDECIDE_TOL`` of the noise threshold back to the
-sequential coder, so its decisions equal those of ``frequency``.  Every
-other backend is counted with the sequential coder: LZ parent by parent,
-on the transactions where the parent occurs; the non-monotone external
-adapter on every transaction.
+backend it takes their signature groups as count arrays
+(``ktbatch.Groups``, from the miner's level coder, the oracle's class
+coder, or ``ktbatch.string_groups`` for plain strings), evaluates
+L(y||x) - L(y) in closed form with numpy and hands every pair within
+``REDECIDE_TOL`` of the noise threshold back to the sequential coder, so
+its decisions equal those of ``frequency``.  Every other backend is
+counted with the sequential coder: LZ parent by parent, on the
+transactions where the parent occurs; the non-monotone external adapter
+on every transaction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bits as bitutil
-from .codelength import EstimationError, KTBackend, KTState, kt_log2_terms
+from . import ktbatch
+from .codelength import EstimationError, KTBackend, kt_log2_terms
 
 VARIANTS = ("scale-free", "additive")
 
@@ -215,14 +219,16 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
-    ``coded`` maps each x to (L(x), its signature), as ``code_strings``
-    (the default, which checks the candidates first) returns it.
-    Candidates are grouped by signature
-    (strings with equal signatures cost the same after any coder state,
-    hence have identical support) and each group is counted once.  The KT
-    backend is counted in closed form, on every transaction.  Every other
-    backend (and KT when its count tables are too large) is counted parent
-    by parent (``_count_by_parent``): ``parent`` maps x to (p, occ), a
+    Candidates are grouped by signature (strings with equal signatures
+    cost the same after any coder state, hence have identical support)
+    and each group is counted once, by its first member.  For a
+    ``KTBackend``, ``coded`` is the candidates' ``ktbatch.Groups`` (by
+    default ``ktbatch.string_groups``, after checking the candidates), and
+    the groups are counted in closed form, on every transaction.  For
+    every other backend, ``coded`` maps each x to (L(x), its signature),
+    as ``code_strings`` (the default) returns it.  Every other backend
+    (and KT when its count tables are too large) is counted parent by
+    parent (``_count_by_parent``): ``parent`` maps x to (p, occ), a
     prefix p of x and the transaction indices where p occurs (None: every
     transaction).  With a monotone backend x can only occur where p does,
     so the transactions outside occ are skipped.  This is the one place
@@ -231,31 +237,42 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     its own child of the empty prefix, as without ``parent``.  Counts do
     not depend on grouping.
     """
+    kt = isinstance(backend, KTBackend)
     if coded is None:
         candidates = [bitutil.check(x, "pattern") for x in candidates]
-        coded = code_strings(backend, candidates)
-    groups: dict = {}
-    for x in candidates:
-        sig = coded[x][1]
-        groups.setdefault(sig if sig is not None else ("raw", x), []).append(x)
-    members = list(groups.values())
-    lens = [coded[xs[0]][0] for xs in members]
+        coded = (ktbatch.string_groups(backend.order, candidates) if kt
+                 else code_strings(backend, candidates))
+    if kt:
+        group, first = coded.group, coded.first.tolist()
+        lens = coded.length.tolist()
+    else:
+        first, group, number = [], [], {}
+        for i, x in enumerate(candidates):
+            sig = coded[x][1]
+            g = number.setdefault(sig if sig is not None else ("raw", x),
+                                  len(first))
+            if g == len(first):
+                first.append(i)
+            group.append(g)
+        lens = [coded[candidates[i]][0] for i in first]
+    reps = [candidates[i] for i in first]
     cache = T.cached(backend)
 
     counts = found = None
-    if isinstance(backend, KTBackend) and members and len(cache.items):
-        counts = _kt_support(backend, params, cache, list(groups), members, lens)
+    if kt and reps and len(cache.items):
+        counts = _kt_support(backend, params, cache, coded, reps)
     if counts is not None:
-        pairs = len(members) * len(cache.items)
+        pairs = len(reps) * len(cache.items)
     else:
         found, pairs = _count_by_parent(
-            backend, _limits(params, cache), cache, [xs[0] for xs in members],
-            lens, parent if backend.monotone else None)
+            backend, _limits(params, cache), cache, reps, lens,
+            parent if backend.monotone else None)
         counts = [len(ts) for ts in found]
-    result = Support((x, int(n)) for xs, n in zip(members, counts) for x in xs)
-    result.groups, result.pairs = len(members), pairs
+    counts = np.asarray(counts, dtype=np.intp)[group].tolist()
+    result = Support(zip(candidates, counts))
+    result.groups, result.pairs = len(reps), pairs
     if found is not None:
-        result.occurrences = {x: ts for xs, ts in zip(members, found) for x in xs}
+        result.occurrences = dict(zip(candidates, (found[g] for g in group)))
     return result
 
 
@@ -298,9 +315,9 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
 @dataclass
 class _KTCounts:
     """Per-context counts of every transaction, laid out for the kernel."""
-    rows: dict        # context -> row; the extra last row is all zero
-    zeros: np.ndarray  # (rows + 1) x transactions
-    ones: np.ndarray
+    ids: np.ndarray    # ascending ids (``ktbatch.context_ids``) of the contexts
+    zeros: np.ndarray  # (contexts + 1) x transactions, a row per id; the
+    ones: np.ndarray   # extra last row is all zero
     tails: list       # distinct tail contexts (coder context after y)
     tail_of: np.ndarray  # index into tails, per transaction
 
@@ -316,68 +333,69 @@ def _kt_counts(coded: _Coded):
         if (len(rows) + 1) * len(coded.states) > _KT_TABLE_MAX:
             coded.kt_refused = True
             return None
+        ids = ktbatch.context_ids(rows)
+        by_id = np.argsort(ids)
+        rank = np.empty_like(by_id)  # per context, its row
+        rank[by_id] = np.arange(len(ids))
         zeros = np.zeros((len(rows) + 1, len(coded.states)), dtype=np.intp)
         ones = np.zeros_like(zeros)
         tails: dict = {}
         tail_of = []
         for t, state in enumerate(coded.states):
             for ctx, (c0, c1) in state.counts.items():
-                zeros[rows[ctx], t], ones[rows[ctx], t] = c0, c1
+                row = rank[rows[ctx]]
+                zeros[row, t], ones[row, t] = c0, c1
             tail_of.append(tails.setdefault(state.context, len(tails)))
-        coded.kt = _KTCounts(rows, zeros, ones, list(tails), np.array(tail_of))
+        coded.kt = _KTCounts(ids[by_id], zeros, ones, list(tails),
+                             np.array(tail_of))
     return coded.kt
 
 
-def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
-    """Closed-form counts of signature groups; None when the count tables
-    would be too large.
+def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
+    """Closed-form counts of signature groups (``ktbatch.Groups``, whose
+    first members are ``reps``); None when the count tables would be too
+    large, or the order too high for integer context ids.
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
-    bits after x's first ``order`` (the head) come from the signature;
-    those of the head depend on y's tail context and come from a
-    (tail, head) table.  Each signature is parsed once; groups are then
-    evaluated in chunks whose dense groups x contexts x transactions
-    arrays hold at most ``_BLOCK_ELEMENTS`` entries (a single group may
-    exceed it).
+    bits after x's first ``order`` (the head) are the group's body; those
+    of the head depend on y's tail context, and come from the (tail, head)
+    windows (``ktbatch.head_steps``).  Groups are evaluated in chunks
+    whose dense groups x contexts x transactions arrays hold at most
+    ``_BLOCK_ELEMENTS`` entries (a single group may exceed it).
     """
+    k = backend.order
+    if k > ktbatch.ID_ORDER:
+        return None
     kt = _kt_counts(coded)
     if kt is None:
         return None
     lengths = np.asarray(coded.lengths)
     n_t = len(coded.states)
-    max_x = max(len(xs[0]) for xs in members)
+    max_x = max(map(len, reps))
+    names = groups.names
 
-    # Columns are the contexts any group touches.  A group's body holds its
-    # signature's counts in full-length contexts (shorter ones lie within
-    # the head), as columns of ``body``: (group, column, zeros, ones).  A
-    # head's increments after every tail are the columns (tail, column,
-    # zeros, ones) of its ``head_inc`` entry.
-    k = backend.order
-    cols: dict = {}
-    heads: dict = {}  # head -> index into head_inc
-    head_inc = []
-    body: tuple = ([], [], [], [])
-    group_head, starts = [], [0]
-    for g, (head, pairs) in enumerate(sigs):
-        if head not in heads:
-            heads[head] = len(head_inc)
-            inc = [(t, cols.setdefault(ctx, len(cols)), *n)
-                   for t, tail in enumerate(kt.tails)
-                   for ctx, n in backend.extend(KTState(tail, {}), head)[0].counts.items()]
-            head_inc.append(np.array(inc, dtype=np.intp).reshape(-1, 4).T)
-        group_head.append(heads[head])
-        for ctx, (c0, c1) in pairs:
-            if len(ctx) == k:
-                body[0].append(g)
-                body[1].append(cols.setdefault(ctx, len(cols)))
-                body[2].append(c0)
-                body[3].append(c1)
-        starts.append(len(body[0]))
-    body = np.array(body, dtype=np.intp)
-    group_head = np.array(group_head)
-    rows = np.array([kt.rows.get(ctx, len(kt.rows)) for ctx in cols])
-    c0, c1 = kt.zeros[rows], kt.ones[rows]
+    # Columns are the contexts any group touches, by id: those of the
+    # groups' bodies (full length) and of their heads' steps after every
+    # tail, which depend on y only through its tail.
+    heads, rank = ktbatch._distinct(groups.head, len(names))
+    group_head = rank[groups.head]
+    tail, head_ids, bit, head_starts = ktbatch.head_steps(
+        k, kt.tails, [names[h] for h in heads.tolist()])
+    contexts, rank = ktbatch._distinct(groups.body[1], len(names))
+    body_ids = ktbatch.context_ids([names[c] for c in contexts.tolist()])
+    ids = np.sort(np.concatenate((body_ids, head_ids)))
+    ids = ids[np.diff(ids, prepend=-1) != 0]
+    n_cols = len(ids)
+    body = groups.body.copy()
+    body[1] = np.searchsorted(ids, body_ids)[rank[body[1]]]
+    starts = np.searchsorted(body[0], np.arange(len(reps) + 1))
+    head_col = np.searchsorted(ids, head_ids)
+    del head_ids  # one int64 per (tail, head step): free it for the chunks
+    # each column's row of the count tables (the zero row if y lacks it)
+    row = np.minimum(np.searchsorted(kt.ids, ids), len(kt.ids) - 1)
+    row[kt.ids[row] != ids] = len(kt.ids)
+    c0, c1 = kt.zeros[row], kt.ones[row]
     # By exchangeability, coding d0 zeros and d1 ones in a context with
     # counts (c0, c1) costs, in any order, (B[n + d] - B[n])
     # - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1]), with n = c0 + c1,
@@ -400,22 +418,20 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
     per_group = min(max_x, 2 ** (backend.order + 1) - 1)
     tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
-    len_x = np.asarray(lens)
-    counts = np.zeros(len(members), dtype=np.intp)
-    step = max(1, _BLOCK_ELEMENTS // (len(cols) * n_t))
-    for lo in range(0, len(sigs), step):
-        hi = min(lo + step, len(sigs))
-        d = np.zeros((2, hi - lo, len(cols)), dtype=np.intp)
+    lens = groups.length.tolist()
+    counts = np.zeros(len(reps), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMENTS // (n_cols * n_t))
+    for lo in range(0, len(reps), step):
+        hi = min(lo + step, len(reps))
+        d = np.zeros((2, hi - lo, n_cols), dtype=np.intp)
         part = body[:, starts[lo]:starts[hi]]
         d[:, part[0] - lo, part[1]] = part[2:]
-        # The chunk's heads after every tail, gathered per (group, transaction).
-        used, which = np.unique(group_head[lo:hi], return_inverse=True)
-        h = np.zeros((2, len(kt.tails), len(used), len(cols)), dtype=np.intp)
-        for j, i in enumerate(used):
-            tail, col, zeros, ones = head_inc[i]
-            h[0, tail, j, col], h[1, tail, j, col] = zeros, ones
+        # The chunk's heads after every tail, gathered per transaction.
+        h = np.zeros((2, len(kt.tails), hi - lo, n_cols), dtype=np.intp)
+        g, at = ktbatch._spans(head_starts, group_head[lo:hi])
+        np.add.at(h, (bit[at], tail[at], g, head_col[at]), 1)
         # (bit, group, column, transaction): head plus body increments
-        inc = h[:, kt.tail_of[:, None], which[None, :]].transpose(0, 2, 3, 1)
+        inc = h[:, kt.tail_of].transpose(0, 2, 3, 1)
         inc += d[:, :, :, None]
         d0, d1 = inc
         cost = B[c0 + c1 + d0 + d1]
@@ -423,11 +439,11 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, sigs, members, lens):
         cost -= A[c1 + d1]
         cost -= base
         extra = cost.sum(axis=1)
-        passes = len_x[lo:hi, None] <= params.entropy_bound(lengths)
+        passes = groups.length[lo:hi, None] <= params.entropy_bound(lengths)
         gap = extra - params.noise_bound(lengths)
         ok = passes & (gap <= 0)
         for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
-            extra_seq = backend.extend_cost(coded.states[t], members[lo + g][0])
+            extra_seq = backend.extend_cost(coded.states[t], reps[lo + g])
             ok[g, t] = _occurs_len(params, lens[lo + g], coded.lengths[t], extra_seq)
         counts[lo:hi] = ok.sum(axis=1)
     return counts

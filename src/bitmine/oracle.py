@@ -114,11 +114,13 @@ def _kt_classes(backend: KTBackend, params, T, epsilon, bound, max_len):
             kept = values[lengths[lo:hi] <= bound]  # the rest occur nowhere
             if not len(kept):
                 continue
-            groups = class_groups(order, width, kept)
-            coded = dict(zip(groups.reps, zip(
-                lengths[kept[groups.first]].tolist(), groups.sigs)))
-            counts = support(backend, params, T, groups.reps, coded)
-            n = np.array([counts[x] for x in groups.reps])[groups.group]
+            groups = class_groups(order, width, kept, lengths[kept])
+            reps = [format(v, fmt) for v in kept[groups.first].tolist()]
+            # one candidate per group: its first member
+            own = np.arange(len(reps))
+            counts = support(backend, params, T, reps,
+                             groups._replace(group=own, first=own))
+            n = np.array([counts[x] for x in reps])[groups.group]
             hit = n >= epsilon
             frequent += zip([format(v, fmt) for v in kept[hit].tolist()],
                             n[hit].tolist())

@@ -10,8 +10,11 @@ restores each wrapped attribute, and that a traced mine runs.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import bitmine
 import bitmine.cli
+from bitmine import KTBackend, MiningConfig, OccurrenceParams, TransactionSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATASET = str(FIXTURES / "dataset7.txt")
@@ -70,6 +73,26 @@ def test_traced_mine_fills_the_level_table():
     assert tracer.levels
     assert all({"candidates", "kept", "pairs", "frequent"} <= set(row)
                for row in tracer.levels)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_traced_kt_mine_levels_equal_the_stats(order):
+    # the tracer rebuilds each level's row from the miner's hooks; the KT
+    # level coder must still call them with the candidate and kept strings
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    T = TransactionSet(bitmine.textio.load_transactions(DATASET))
+    tracing.install(tracer, bitmine, 4)
+    try:
+        result = bitmine.miner.mine(KTBackend(order),
+                                    OccurrenceParams(c1=0.6, c2=0.3), T,
+                                    MiningConfig(epsilon=4, step_bits=2))
+    finally:
+        tracer.uninstall()
+    assert len(result.stats) > 2
+    assert [(row["candidates"], row["kept"], row["frequent"])
+            for row in tracer.levels] == [(s.candidates, s.kept, s.frequent)
+                                          for s in result.stats]
 
 
 def test_mine_takes_the_threads_flag_the_benchmark_times(capsys):

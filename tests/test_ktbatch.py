@@ -1,26 +1,43 @@
-"""The batch module's class coder against the per-bit walk."""
+"""The batch module's class coder and level coder against the per-bit walk."""
 
 import tracemalloc
+from random import Random
 
 import numpy as np
 
 from bitmine import KTBackend
 from bitmine import bits as bitutil
-from bitmine.ktbatch import class_groups, class_lengths
+from bitmine.ktbatch import (children, class_groups, class_lengths,
+                             code_level, groups, narrow, root)
+
+ORDERS = [0, 1, 2, 3, 4, 5, 6, 9, 24]
 
 
-def _check_groups(backend, strings, groups):
+def _signature(groups, g):
+    # signature()'s key, rebuilt from group g's array form: each head
+    # position's context (shorter than the order) once, with its bit, and
+    # the body's full-length contexts
+    head = groups.names[groups.head[g]]
+    counts = {head[:t]: (int(b == "0"), int(b == "1")) for t, b in enumerate(head)}
+    _, ctx, zeros, ones = groups.body[:, groups.body[0] == g].tolist()
+    counts.update((groups.names[c], (z, o)) for c, z, o in zip(ctx, zeros, ones))
+    return head, tuple(sorted(counts.items()))
+
+
+def _check_groups(backend, strings, lengths, groups):
     # the groups are signature()'s partition, each numbered by and
-    # represented by its first member, with that signature
+    # represented by its first member, with that signature and length
     first: dict = {}  # signature -> its first string's index
     sigs = [backend.signature(x) for x in strings]
     for i, sig in enumerate(sigs):
         first.setdefault(sig, i)
     number = {sig: g for g, sig in enumerate(first)}
-    assert groups.sigs == list(first)
     assert groups.first.tolist() == list(first.values())
-    assert groups.reps == [strings[i] for i in first.values()]
     assert groups.group.tolist() == [number[sig] for sig in sigs]
+    assert [_signature(groups, g) for g in range(len(first))] == list(first)
+    assert groups.length.tolist() == [lengths[i] for i in first.values()]
+    assert all(len(groups.names[c]) == backend.order
+               for c in groups.body[1].tolist())
 
 
 def test_class_coder_equals_the_walk():
@@ -33,11 +50,72 @@ def test_class_coder_equals_the_walk():
             strings = list(bitutil.all_of_length(width))
             lengths = class_lengths(order, width, lengths, values)
             assert lengths.tolist() == [backend.code_len(x) for x in strings]
-            _check_groups(backend, strings, class_groups(order, width, values))
+            _check_groups(backend, strings, lengths.tolist(),
+                          class_groups(order, width, values, lengths))
             # the oracle groups the strings a chunk keeps: a sparse subset
             kept = np.flatnonzero(lengths <= np.median(lengths))
             _check_groups(backend, [strings[v] for v in kept.tolist()],
-                          class_groups(order, width, kept))
+                          lengths[kept].tolist(),
+                          class_groups(order, width, kept, lengths[kept]))
+
+
+def _frontiers(order, widest):
+    # the frontier of every string of 0..widest bits, each from the one
+    # before by one-bit steps, as the miner grows them
+    frontier, strings = root(), [""]
+    for _ in range(widest + 1):
+        yield strings, frontier
+        level = code_level(order, frontier, ["0", "1"])
+        every = np.arange(len(level.length))
+        frontier = narrow(children(level, every), every)
+        strings = [p + s for p in strings for s in "01"]
+
+
+def _check_level(backend, parents, frontier, suffixes):
+    level = code_level(backend.order, frontier, suffixes)
+    strings = [p + s for p in parents for s in suffixes]
+    lengths = level.length.tolist()
+    assert lengths == [backend.code_len(x) for x in strings]
+    # the groups of a sparse kept subset, and of every child
+    for keep in (np.flatnonzero(level.length <= np.median(level.length))[::2],
+                 np.arange(len(strings))):
+        _check_groups(backend, [strings[i] for i in keep.tolist()],
+                      [lengths[i] for i in keep.tolist()],
+                      groups(children(level, keep)))
+
+
+def test_level_coder_equals_the_walk():
+    # frontiers of every string of 0-8 bits, steps of 1-3 bits: every
+    # L(x) == code_len(x), and the kept children's groups are
+    # signature()'s partition
+    for order in ORDERS:
+        backend = KTBackend(order)
+        for parents, frontier in _frontiers(order, 8):
+            for step in (1, 2, 3):
+                _check_level(backend, parents, frontier,
+                             list(bitutil.all_of_length(step)))
+        # the seed level: suffixes of 1..3 bits, padded to the longest
+        _check_level(backend, [""], root(),
+                     [x for n in (1, 2, 3) for x in bitutil.all_of_length(n)])
+
+
+def test_level_coder_on_long_patterns():
+    # a frontier of random 30-60-bit patterns in any order, grown from
+    # plain strings and narrowed to a shuffled subset
+    rng = Random(5)
+    strings = ["".join(rng.choice("01") for _ in range(rng.randint(30, 60)))
+               for _ in range(40)]
+    for order in ORDERS:
+        backend = KTBackend(order)
+        level = code_level(order, root(), strings)
+        assert level.length.tolist() == [backend.code_len(x) for x in strings]
+        keep = list(range(len(strings)))
+        rng.shuffle(keep)
+        keep = keep[:25]
+        frontier = narrow(children(level, np.arange(len(strings))),
+                          np.array(keep))
+        _check_level(backend, [strings[i] for i in keep], frontier,
+                     list(bitutil.all_of_length(3)))
 
 
 def test_class_coder_memory_does_not_span_the_contexts():
@@ -52,10 +130,36 @@ def test_class_coder_memory_does_not_span_the_contexts():
     tracemalloc.start()
     try:
         lengths = class_lengths(24, 16, prev, values)
-        groups = class_groups(24, 16, values)
+        groups = class_groups(24, 16, values, lengths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert lengths[0] == KTBackend(24).code_len(format(20_000, "016b"))
-    assert len(groups.sigs) == len(values)
+    assert len(groups.first) == len(values)
     assert peak < 8 * 2 ** 20
+
+
+def test_level_coder_memory_does_not_span_the_contexts():
+    # 768 random 40-bit patterns at order 9 use all 512 full contexts; a
+    # dense children x contexts layout of int64 (zeros, ones) for their
+    # 3,072 children alone would take 25 MB, where their sparse rows (about
+    # 32 entries each) and the coder's work take under half of that
+    rng = Random(9)
+    strings = ["".join(rng.choice("01") for _ in range(40))
+               for _ in range(768)]
+    level = code_level(9, root(), strings)
+    every = np.arange(len(strings))
+    frontier = narrow(children(level, every), every)
+    assert len(np.unique(frontier.rows[1])) >= 500
+    suffixes = list(bitutil.all_of_length(2))
+    tracemalloc.start()
+    try:
+        level = code_level(9, frontier, suffixes)
+        kept = children(level, np.arange(len(level.length)))
+        coded = groups(kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level.length[-1] == KTBackend(9).code_len(strings[-1] + "11")
+    assert len(coded.first) == len(level.length)
+    assert peak < 12 * 2 ** 20

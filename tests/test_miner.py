@@ -4,8 +4,10 @@ import pytest
 
 from bitmine import (ExternalBackend, KTBackend, LZBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
-                     frequency, gen_random, generate, mine, seed_level0)
-from bitmine import miner
+                     frequency, gen_random, generate, mine, seed_level0,
+                     support)
+from bitmine import bits as bitutil
+from bitmine import miner, occurrence
 from bitmine.miner import MAX_LEVEL_CANDIDATES, MAX_STEP_BITS, FrequentPattern
 from bitmine.oracle import MAX_LEN
 
@@ -266,3 +268,49 @@ class TestMine:
             # each of a parent's 4 children is priced only where it occurs
             parents = [p for p in res if p.level == s.level - 1]
             assert s.pairs <= 4 * sum(p.count for p in parents)
+
+
+class TestKTLevels:
+    """The KT miner codes each level from its frontier's counts; what it
+    finds, codes and reports must be what the walk and ``support`` give."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 9, 24])
+    @pytest.mark.parametrize("params", [
+        # the entropy-reduction prefilter drops candidates of the last
+        # scale-free level at orders 0-3 and 9
+        OccurrenceParams(c1=0.5, c2=0.4),
+        OccurrenceParams(variant="additive", c3=6.0, c4=3.0)],
+        ids=["scale-free", "additive"])
+    def test_levels_equal_the_walk_and_support(self, order, params,
+                                               fixture_transactions,
+                                               monkeypatch):
+        backend = KTBackend(order)
+        T = fixture_transactions
+        # at order 24 every pattern here is all head, and the closed form
+        # spans a column per (tail, head) context: a fifth level takes 5 s
+        config = MiningConfig(epsilon=3, step_bits=2,
+                              max_level=3 if order == 24 else 5)
+        result = mine(backend, params, T, config)
+        assert len(result) > 0
+        assert all(p.code_len == backend.code_len(p.pattern) for p in result)
+        # every level's stats (but its time) are those of support on the
+        # strings it kept
+        bound = params.entropy_bound(T.max_code_len(backend))
+        candidates = [x for n in (1, 2) for x in bitutil.all_of_length(n)]
+        for stats in result.stats:
+            kept = [x for x in candidates if backend.code_len(x) <= bound]
+            counts = support(backend, params, T, kept)
+            frequent = [p for p in result if p.level == stats.level]
+            assert {p.pattern: p.count for p in frequent} == {
+                x: c for x, c in counts.items() if c >= 3}
+            assert (stats.candidates, stats.kept, stats.groups, stats.pairs,
+                    stats.frequent) == (len(candidates), len(kept),
+                                        counts.groups, counts.pairs,
+                                        len(frequent))
+            candidates = generate(frequent, 2)
+        # with the count tables refused, the coder path counts each group
+        # on its parent's occurrence list, and finds the same
+        monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 0)
+        coder = mine(backend, params, TransactionSet(T.items), config)
+        assert coder.patterns == result.patterns
+        assert [s.groups for s in coder.stats] == [s.groups for s in result.stats]

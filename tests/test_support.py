@@ -53,6 +53,23 @@ def test_count_tables_over_budget_take_the_sequential_path(monkeypatch):
     assert counts == {x: frequency(backend, params, T, x) for x in candidates}
 
 
+def test_orders_past_integer_context_ids_take_the_sequential_path():
+    # the closed form names contexts by int64 ids, which hold orders up
+    # to 62; a higher order is counted by the coder, and mined and
+    # enumerated alike
+    T = gen_random(8, (20, 30), 3)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    candidates = [format(v, "05b") for v in range(32)]
+    for order in (62, 63, 70):
+        backend = KTBackend(order)
+        assert support(backend, params, T, candidates) == {
+            x: frequency(backend, params, T, x) for x in candidates}
+        assert (T.cached(backend).kt is None) == (order > 62)
+        assert mine(backend, params, T, MiningConfig(
+            epsilon=3, step_bits=2, max_level=2)).as_dict() == \
+            enumerate_frequent(backend, params, T, 3, OracleConfig(max_len=6))
+
+
 class _ScannedCounts(dict):
     """Counts that record every iteration over their contexts."""
     scans = 0
@@ -208,7 +225,8 @@ def test_miner_equals_oracle(order, params):
 
 
 @settings(max_examples=40, deadline=None)
-@given(backend=st.sampled_from(BACKENDS), params=params_strategy,
+@given(backend=st.sampled_from(BACKENDS + [KTBackend(5), KTBackend(9)]),
+       params=params_strategy,
        items=st.lists(bit_strings(6, 16), min_size=2, max_size=6),
        step_bits=st.integers(1, 3), epsilon=st.integers(1, 3))
 def test_miner_equals_oracle_on_random_instances(backend, params, items, step_bits,
