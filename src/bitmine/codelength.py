@@ -145,7 +145,7 @@ class KTBackend:
     def code_len(self, x: str) -> float:
         return self.extend_cost(self.initial_state(), x)
 
-    def signature(self, x: str, state: KTState | None = None):
+    def signature(self, x: str):
         """Hashable key with the property that two strings with equal
         signatures cost the same after *any* fixed coder state.
 
@@ -156,12 +156,11 @@ class KTBackend:
         key is (head, ((context, (zeros, ones)), ...)) sorted by context,
         with the counts of x coded from the initial state: contexts shorter
         than ``order`` occur only within the head, so keeping them adds
-        nothing the head does not fix.
-
-        ``state`` is the coder state after x (by default, ``extend``'s).
+        nothing the head does not fix.  Nothing in the package calls this:
+        ``ktbatch`` builds the same partition from count arrays, which the
+        tests check against it, and ``perfbench/tracer.py`` wraps it.
         """
-        if state is None:
-            state = self.extend(self.initial_state(), x)[0]
+        state = self.extend(self.initial_state(), x)[0]
         return (x[:self.order], tuple(sorted(state.counts.items())))
 
 
@@ -250,7 +249,10 @@ class LZBackend:
         return self.extend_cost(self.initial_state(), x)
 
     def signature(self, x: str, state: LZState | None = None):
-        return None  # parse cost after a state depends on the whole string
+        """None: the parse cost after a state depends on the whole string,
+        so LZ strings form no signature groups.  Nothing in the package
+        calls this; only ``perfbench/tracer.py`` wraps it."""
+        return None
 
 
 class ExternalState(NamedTuple):
@@ -302,8 +304,9 @@ class ExternalBackend:
 
     def extend_cost(self, state: ExternalState, bits: str,
                     cost: float = 0.0) -> float:
-        """``cost`` plus the score's increase from appending ``bits``."""
-        return self.extend(state, bits, cost)[1]
+        """``cost`` plus the score's increase from appending ``bits`` (no
+        state is built)."""
+        return cost + (self.code_len(state.bits + bits) - state.score)
 
     def code_len(self, x: str) -> float:
         if x == "":
@@ -326,9 +329,6 @@ class ExternalBackend:
         if not proc.stdout:
             raise EstimationError("external compressor produced no output")
         return 8.0 * len(proc.stdout)
-
-    def signature(self, x: str, state: ExternalState | None = None):
-        return None  # compressed size depends on the whole string
 
 
 def code_len(backend, x: str) -> float:

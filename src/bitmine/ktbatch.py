@@ -277,7 +277,7 @@ def _segmented_costs(order: int, coded, pairs: np.ndarray, total, count):
     """
     walk = KTBackend(order)._walk
     costs = np.empty(len(pairs))
-    for s in np.unique(pairs[:, 1]).tolist():
+    for s in dict.fromkeys(pairs[:, 1].tolist()):
         rows = np.flatnonzero(pairs[:, 1] == s)
         bits = coded[s].bits
         heads, cost = [], np.empty(len(rows))

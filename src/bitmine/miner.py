@@ -8,8 +8,9 @@ parent's L(p), so L(x) is bit-identical to coding x from scratch.  For a
 ``KTBackend`` the frontier is count arrays (``ktbatch.Frontier``): one
 ``ktbatch.code_level`` call codes a whole level in numpy, and the kept
 children's count rows give their signature groups and, for the frequent
-ones, the next frontier.  Every other backend keeps one coder state per
-surviving pattern and extends it by the n new bits.  The frontier keeps
+ones, the next frontier.  Every other backend prices each candidate with
+``extend_cost`` from its parent's coder state, by the n new bits, and
+keeps one coder state per frequent pattern only.  The frontier keeps
 the transactions each pattern occurs in where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
@@ -92,7 +93,7 @@ class LevelStats:
     level: int
     candidates: int  # generated
     kept: int        # left after the entropy-reduction prefilter
-    groups: int      # signature groups counted
+    groups: int      # groups counted: KT signature groups, else candidates
     # (group, transaction) pairs whose extra cost was evaluated: all of them
     # under the KT closed form; for LZ only the (child, transaction) pairs
     # priced on the parent's occurrence list where L(x) passes entropy
@@ -208,10 +209,11 @@ def _state_level(backend, params, T, config, candidates, parents, level,
                  start):
     """``_run_level`` for every other backend, whose frontier maps each
     pattern to (its coder state, its L, its occurrence list or None).  A
-    candidate is coded from its parent's state by its last ``step_bits``
-    bits (a seed candidate, at most ``step_bits`` long, gets the empty
-    parent and all of its bits).  Only the frequent patterns' states are
-    built and kept, so memory follows the frontier, not the candidates.
+    candidate is priced with ``extend_cost`` from its parent's state by its
+    last ``step_bits`` bits (a seed candidate, at most ``step_bits`` long,
+    gets the empty parent and all of its bits), so no candidate's state is
+    built.  Only the frequent patterns' states are built, by one ``extend``
+    each, and kept, so memory follows the frontier, not the candidates.
     """
     cut = -config.step_bits
 
@@ -224,10 +226,10 @@ def _state_level(backend, params, T, config, candidates, parents, level,
 
     coded = code_strings(backend, candidates, from_parent)
     kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
-                      lambda x: coded[x][0])
+                      coded.__getitem__)
     counts = _count_pass(backend, params, T, kept, coded, parent)
     eps = config.resolve_epsilon(len(T))
-    frequent = [FrequentPattern(x, c, coded[x][0], level)
+    frequent = [FrequentPattern(x, c, coded[x], level)
                 for x, c in sorted(counts.items()) if c >= eps]
     found = counts.occurrences or {}
     frontier = {}

@@ -18,8 +18,11 @@ backend it takes their signature groups as count arrays
 coder, or ``ktbatch.string_groups`` for plain strings), evaluates
 L(y||x) - L(y) in closed form with numpy and hands every pair within
 ``REDECIDE_TOL`` of the noise threshold back to the sequential coder, so
-its decisions equal those of ``frequency``.  Every other backend is
-counted with the sequential coder: LZ parent by parent, on the
+its decisions equal those of ``frequency``.  Signature groups are a KT
+shortcut (the add-1/2 estimator is exchangeable): every other backend
+counts each distinct candidate as a group of its own, from its L(x)
+(``code_strings``, which prices it with ``extend_cost`` and builds no
+coder state), with the sequential coder: LZ parent by parent, on the
 transactions where the parent occurs; the non-monotone external adapter
 on every transaction.
 """
@@ -187,7 +190,7 @@ def _limits(params, coded):
 
 class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
-    ``groups`` signature groups were counted, over ``pairs``
+    ``groups`` groups were counted, over ``pairs``
     (group, transaction) pairs whose extra cost was evaluated.
     ``occurrences`` maps each x to the ascending indices of the
     transactions it occurs in when the count came from coder states, and
@@ -198,19 +201,16 @@ class Support(dict):
 
 
 def code_strings(backend, xs, start=None) -> dict:
-    """{x: (L(x), signature of x)}, each x coded once by ``extend`` and
-    its signature read off the resulting state; equal signatures share one
-    object.  ``start`` maps x to (coder state after a prefix p of x, L(p),
-    the rest of x), continuing L(p)'s running sum (default: the initial
-    state), so L(x) is bit-identical to ``backend.code_len(x)``.
+    """{x: L(x)}, each x priced once by ``extend_cost``, so no coder state
+    is built.  ``start`` maps x to (coder state after a prefix p of x,
+    L(p), the rest of x), continuing L(p)'s running sum (default: the
+    initial state), so L(x) is bit-identical to ``backend.code_len(x)``.
     """
     root = backend.initial_state()
-    coded, interned = {}, {}
+    coded = {}
     for x in xs:
         state, cost, rest = (root, 0.0, x) if start is None else start(x)
-        state, length = backend.extend(state, rest, cost)
-        sig = backend.signature(x, state)
-        coded[x] = (length, interned.setdefault(sig, sig))
+        coded[x] = backend.extend_cost(state, rest, cost)
     return coded
 
 
@@ -219,23 +219,23 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
-    Candidates are grouped by signature (strings with equal signatures
-    cost the same after any coder state, hence have identical support)
-    and each group is counted once, by its first member.  For a
-    ``KTBackend``, ``coded`` is the candidates' ``ktbatch.Groups`` (by
-    default ``ktbatch.string_groups``, after checking the candidates), and
-    the groups are counted in closed form, on every transaction.  For
-    every other backend, ``coded`` maps each x to (L(x), its signature),
-    as ``code_strings`` (the default) returns it.  Every other backend
-    (and KT when its count tables are too large) is counted parent by
-    parent (``_count_by_parent``): ``parent`` maps x to (p, occ), a
-    prefix p of x and the transaction indices where p occurs (None: every
-    transaction).  With a monotone backend x can only occur where p does,
-    so the transactions outside occ are skipped.  This is the one place
-    that decides whether occ may prune: a non-monotone backend's
-    ``parent`` is ignored, and every x is counted on every transaction as
-    its own child of the empty prefix, as without ``parent``.  Counts do
-    not depend on grouping.
+    Candidates are counted in groups, each once, by its first member.
+    For a ``KTBackend`` a group is a signature group (strings with equal
+    signatures cost the same after any coder state, hence have identical
+    support), ``coded`` is the candidates' ``ktbatch.Groups`` (by default
+    ``ktbatch.string_groups``, after checking the candidates), and the
+    groups are counted in closed form, on every transaction.  For every
+    other backend each distinct candidate is a group of its own, and
+    ``coded`` maps each x to L(x), as ``code_strings`` (the default)
+    returns it.  Every other backend (and KT when its count tables are
+    too large) is counted parent by parent (``_count_by_parent``):
+    ``parent`` maps x to (p, occ), a prefix p of x and the transaction
+    indices where p occurs (None: every transaction).  With a monotone
+    backend x can only occur where p does, so the transactions outside
+    occ are skipped.  This is the one place that decides whether occ may
+    prune: a non-monotone backend's ``parent`` is ignored, and every x is
+    counted on every transaction as its own child of the empty prefix, as
+    without ``parent``.  Counts do not depend on grouping.
     """
     kt = isinstance(backend, KTBackend)
     if coded is None:
@@ -243,19 +243,13 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
         coded = (ktbatch.string_groups(backend.order, candidates) if kt
                  else code_strings(backend, candidates))
     if kt:
-        group, first = coded.group, coded.first.tolist()
-        lens = coded.length.tolist()
+        reps = [candidates[i] for i in coded.first.tolist()]
+        group, lens = coded.group, coded.length.tolist()
     else:
-        first, group, number = [], [], {}
-        for i, x in enumerate(candidates):
-            sig = coded[x][1]
-            g = number.setdefault(sig if sig is not None else ("raw", x),
-                                  len(first))
-            if g == len(first):
-                first.append(i)
-            group.append(g)
-        lens = [coded[candidates[i]][0] for i in first]
-    reps = [candidates[i] for i in first]
+        number = {}
+        group = [number.setdefault(x, len(number)) for x in candidates]
+        reps = list(number)
+        lens = [coded[x] for x in reps]
     cache = T.cached(backend)
 
     counts = found = None

@@ -2,13 +2,14 @@
 
 Enumerates every bit string up to a length cap and computes its support,
 with no pruning.  Only meant for desk-scale verification of the level-wise
-miner's search.  Each string is coded once from the initial coder state,
-which gives its code length and its signature.  A ``KTBackend``'s length
-classes are coded in numpy by the batch module, each length from the
-previous class's (``ktbatch.class_lengths``, ``==`` ``code_len``), and a
-chunk's strings are grouped by signature (``ktbatch.class_groups``), so
-one string per group is counted and only frequent strings are formatted.
-Every other backend codes each string with ``occurrence.code_strings``.
+miner's search.  Each string's code length is taken once, as from the
+initial coder state.  A ``KTBackend``'s length classes are coded in numpy
+by the batch module, each length from the previous class's
+(``ktbatch.class_lengths``, ``==`` ``code_len``), and a chunk's strings
+are grouped by signature (``ktbatch.class_groups``), so one string per
+group is counted and only frequent strings are formatted.  Every other
+backend prices each string with ``occurrence.code_strings``
+(``extend_cost``, no coder state) and counts it on its own.
 Supports come from the same ``occurrence.support`` kernel the miner uses;
 that kernel is checked against the sequential ``occurrence.frequency`` in
 the tests.
@@ -82,15 +83,15 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
 
 def _classes(backend, params, T, epsilon, bound, max_len):
     """Per length class: its minimum code length and its frequent
-    (x, count), each string coded by ``code_strings``."""
+    (x, count), each string priced by ``code_strings``."""
     for length in range(1, max_len + 1):
         min_code_len, frequent = math.inf, []
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):
             coded = code_strings(backend, chunk)
-            min_code_len = min(min_code_len, *(n for n, _ in coded.values()))
+            min_code_len = min(min_code_len, *coded.values())
             # a string above the bound occurs in no transaction; support 0
-            kept = [x for x in chunk if coded[x][0] <= bound]
+            kept = [x for x in chunk if coded[x] <= bound]
             counts = support(backend, params, T, kept, coded)
             frequent += [(x, counts[x]) for x in kept if counts[x] >= epsilon]
         yield min_code_len, frequent

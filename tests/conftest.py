@@ -77,9 +77,6 @@ class ZeroBackend:
     def code_len(self, x):
         return 0.0
 
-    def signature(self, x, state=None):
-        return None
-
 
 @pytest.fixture(scope="session")
 def kt0():

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitmine
 from bitmine import (ExternalBackend, KTBackend, LZBackend, TransactionSet,
                      UndefinedDistanceError, code_len, cond_code_len,
                      distance_matrix, gen_random, info_dist, kraft_diagnostic,
@@ -261,6 +266,26 @@ def test_kt_matrix_of_long_items_is_bounded(order, measure):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20
+
+
+def test_long_joints_leave_numpy_ma_unimported():
+    # numpy 2's np.unique with no optional output imports numpy.ma (about
+    # 0.7 MB of RSS); a joint longer than a chunk must not need it.  A new
+    # interpreter, so that no other test has imported it.
+    script = (
+        "import sys\n"
+        "from bitmine import KTBackend, distance_matrix, ktbatch\n"
+        "n = ktbatch._JOINT_CHUNK + 5\n"
+        "distance_matrix(KTBackend(1), ['0110' * 8, ('0111010' * n)[:n]])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(bitmine.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cumsum_along_rows_adds_in_order():

@@ -168,7 +168,7 @@ class TestMine:
         if backend_name == "kt0":  # the closed form evaluates every pair
             assert all(s.pairs == s.groups * len(T) for s in res.stats)
             assert any(s.groups < s.kept for s in res.stats)
-        else:  # LZ has no signature groups
+        else:  # each distinct LZ candidate is a group of its own
             assert all(s.groups == s.kept for s in res.stats)
 
     def test_sound_mode_refuses_external_backend(self, fixture_transactions):

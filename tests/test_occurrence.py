@@ -241,9 +241,9 @@ class TestSupportByParent:
         assert any(counts.values())
 
     def test_external_backend_is_counted_from_its_coder_states(self):
-        # The external adapter has no signatures: each candidate is coded
-        # once, then priced on every transaction where L(x) passes entropy
-        # reduction, from the transaction's coder state.
+        # The external adapter has no signature groups: each candidate is
+        # priced once for L(x), then on every transaction where L(x)
+        # passes entropy reduction, from the transaction's coder state.
         ext = ExternalBackend("cat")
         items = ["0110" * 4, "1" * 16, "01101001" * 4, "001" * 10, "1" * 7]
         T = TransactionSet(items)
@@ -299,3 +299,37 @@ def test_estimation_error_names_the_transaction(count, monkeypatch):
     T = TransactionSet(["0110" * 4, "1" * 16])
     with pytest.raises(EstimationError, match="^transaction 0: compressor crashed$"):
         count(ExternalBackend("cat"), SCALE, T, "01")
+
+
+@pytest.mark.parametrize("backend", [
+    KTBackend(2), LZBackend(), ExternalBackend("cat")],
+    ids=["kt2", "lz", "external"])
+def test_candidates_are_priced_without_a_coder_state(backend, monkeypatch):
+    # code_strings prices each x with extend_cost alone, from the initial
+    # state or continuing a prefix's state and length
+    xs = ["0", "1", "0110", "1101001", "011010011"]
+    prefix = {x: backend.extend(backend.initial_state(), x[:2]) for x in xs}
+
+    def start(x):
+        state, length = prefix[x]
+        return state, length, x[2:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coder state was built")
+
+    expected = {x: backend.code_len(x) for x in xs}
+    for name in ("extend", "signature"):
+        monkeypatch.setattr(type(backend), name, refuse, raising=False)
+    assert occurrence.code_strings(backend, xs) == expected
+    assert occurrence.code_strings(backend, xs, start) == expected
+
+
+def test_lz_support_counts_each_distinct_candidate_once(lz,
+                                                       fixture_transactions):
+    # a repeated candidate joins its first copy's group
+    T = fixture_transactions
+    xs = ["01", "0110", "01", "1", "0110", "01"]
+    counts = support(lz, SCALE, T, xs)
+    assert counts.groups == 3
+    assert counts == {x: frequency(lz, SCALE, T, x) for x in xs}
+    assert len(set(counts.values())) > 1
