@@ -253,7 +253,7 @@ def _cmd_oracle(args) -> int:
     header = _backend_header(args)
     header.update(_threshold_header(args))
     header.update(epsilon=args.epsilon, input=os.path.basename(args.input))
-    records = [FrequentPattern(p, c, backend.code_len(p), 0)
+    records = [FrequentPattern(p, c, found.code_len[p], 0)
                for p, c in found.items()]
     _write(args.out, textio.format_result(records, header))
     return EXIT_OK

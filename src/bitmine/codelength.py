@@ -41,18 +41,6 @@ _KT_LOG2_TOTAL = [math.log2(2 * n + 2) for n in range(_KT_LOG2_LEN)]
 _KT_LOG2_COUNT = [math.log2(2 * c + 1) for c in range(_KT_LOG2_LEN)]
 
 
-def kt_log2_terms(size: int) -> tuple[list, list]:
-    """The walk's two KT term lists, log2(2n + 2) and log2(2c + 1), with at
-    least ``size`` entries each: ``math.log2`` of the same integers past
-    their end, so every entry is the float the walk reads."""
-    total, count = _KT_LOG2_TOTAL, _KT_LOG2_COUNT
-    if size > len(total):
-        more = range(len(total), size)
-        total = total + [math.log2(2 * n + 2) for n in more]
-        count = count + [math.log2(2 * c + 1) for c in more]
-    return total, count
-
-
 class KTState(NamedTuple):
     """Adaptive estimator state: recent context plus per-context bit counts
     (a tuple, which is cheaper to build than a dataclass)."""

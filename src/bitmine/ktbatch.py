@@ -2,8 +2,8 @@
 
 ``KTBackend._walk`` codes one string at a time in Python.  This module
 codes many at once with the walk's floats: a string's KT code length is a
-running sum of step costs ``total[n] - count[c]`` (``kt_log2_terms``),
-with n the earlier occurrences of the step's context and c those with the
+running sum of step costs ``total[n] - count[c]`` (``_terms``), with n
+the earlier occurrences of the step's context and c those with the
 coded bit.  A cost is a float sum, so ``==`` needs the walk's additions in
 its order (numpy's ``sum`` adds pairwise and would round differently).
 
@@ -144,12 +144,12 @@ def _plans(order: int, plans, body_of) -> _Plans:
 
 def _terms(top: int):
     """The walk's two KT term tables, log2(2n + 2) and log2(2c + 1), as
-    arrays for counts below ``top`` but of at most ``_TERMS`` entries:
-    ``math.log2`` of the same integers as ``kt_log2_terms``, so the same
-    floats, with no list between.  ``_step`` computes larger terms."""
-    size = min(top, _TERMS)
-    return (np.fromiter(map(math.log2, range(add, 2 * size + add, 2)),
-                        float, size) for add in (2, 1))
+    arrays for the counts below ``top``: ``math.log2`` of the same
+    integers as the walk's tables, so the same floats.  The one builder
+    of these arrays: the closed form in ``occurrence`` reads them too.
+    ``_step`` computes terms past a table's end."""
+    return (np.fromiter(map(math.log2, range(add, 2 * top + add, 2)),
+                        float, top) for add in (2, 1))
 
 
 def _lookup(table: np.ndarray, values: np.ndarray, add: int) -> np.ndarray:
@@ -215,7 +215,7 @@ def _kt_joint_costs(order: int, coded, pairs: np.ndarray) -> np.ndarray:
     call holds more than a chunk's plans and priced rows.
     """
     size = np.array([len(c.bits) for c in coded])
-    total, count = _terms(2 * int(size.max()) + 1)
+    total, count = _terms(min(2 * int(size.max()) + 1, _TERMS))
     long = size[pairs[:, 1]] > _JOINT_CHUNK
     costs = np.empty(len(pairs))
     if long.any():

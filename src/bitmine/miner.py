@@ -10,8 +10,10 @@ parent's L(p), so L(x) is bit-identical to coding x from scratch.  For a
 children's count rows give their signature groups and, for the frequent
 ones, the next frontier.  Every other backend prices each candidate with
 ``extend_cost`` from its parent's coder state, by the n new bits, and
-keeps one coder state per frequent pattern only.  The frontier keeps
-the transactions each pattern occurs in where the count reports them.
+keeps one coder state per frequent pattern only.  Either way the
+prefilter is one test on the level's array of lengths.  The frontier
+keeps the transactions each pattern occurs in where the count reports
+them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -141,12 +143,10 @@ def _count_pass(backend, params, T, candidates, coded, parent):
     return support(backend, params, T, candidates, coded, parent)
 
 
-def _prefilter(backend, params, candidates, max_len_y, code_len):
-    """Drop candidates that cannot satisfy entropy reduction in any
-    transaction; output-preserving because support of a dropped candidate
-    is necessarily zero."""
-    bound = params.entropy_bound(max_len_y)
-    return [x for x in candidates if code_len(x) <= bound]
+def _prefilter(backend, params, candidates, max_len_y, lengths):
+    """The indices of the candidates whose L(x) (``lengths``) can pass
+    entropy reduction in some transaction; the rest have support 0."""
+    return np.flatnonzero(lengths <= params.entropy_bound(max_len_y))
 
 
 def _run_level(backend, params, T, config, candidates, parents, level, start):
@@ -178,21 +178,19 @@ def _kt_level(backend, params, T, config, candidates, parents, level, start):
     coded = ktbatch.code_level(
         backend.order, frontier,
         [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
-    code_len = dict(zip(candidates, coded.length.tolist())).__getitem__
-    max_len_y = T.max_code_len(backend)
-    kept = _prefilter(backend, params, candidates, max_len_y, code_len)
-    # the prefilter's own test, on the array of lengths
-    kept_at = np.flatnonzero(coded.length <= params.entropy_bound(max_len_y))
+    kept_at = _prefilter(backend, params, candidates,
+                         T.max_code_len(backend), coded.length)
+    kept = [candidates[i] for i in kept_at.tolist()]
     children = ktbatch.children(coded, kept_at)
 
     def parent(x):
         p = x[:-config.step_bits]
         return p, occurs_in[p]
 
-    counts = _count_pass(backend, params, T, kept, ktbatch.groups(children),
-                         parent)
+    groups = ktbatch.groups(children)
+    counts = _count_pass(backend, params, T, kept, groups, parent)
     eps = config.resolve_epsilon(len(T))
-    n = np.fromiter(map(counts.__getitem__, kept), np.intp, len(kept))
+    n = counts.per_group[groups.group]
     chosen = sorted(np.flatnonzero(n >= eps).tolist(), key=kept.__getitem__)
     frequent = [FrequentPattern(kept[i], c, length, level) for i, c, length
                 in zip(chosen, n[chosen].tolist(),
@@ -225,8 +223,10 @@ def _state_level(backend, params, T, config, candidates, parents, level,
         return x[:cut], parents[x[:cut]][2]
 
     coded = code_strings(backend, candidates, from_parent)
-    kept = _prefilter(backend, params, candidates, T.max_code_len(backend),
-                      coded.__getitem__)
+    # the candidates are distinct, so ``coded`` lists them in their order
+    kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
+                         np.fromiter(coded.values(), float, len(coded)))
+    kept = [candidates[i] for i in kept_at.tolist()]
     counts = _count_pass(backend, params, T, kept, coded, parent)
     eps = config.resolve_epsilon(len(T))
     frequent = [FrequentPattern(x, c, coded[x], level)

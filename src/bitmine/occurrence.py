@@ -18,13 +18,14 @@ backend it takes their signature groups as count arrays
 coder, or ``ktbatch.string_groups`` for plain strings), evaluates
 L(y||x) - L(y) in closed form with numpy and hands every pair within
 ``REDECIDE_TOL`` of the noise threshold back to the sequential coder, so
-its decisions equal those of ``frequency``.  Signature groups are a KT
-shortcut (the add-1/2 estimator is exchangeable): every other backend
-counts each distinct candidate as a group of its own, from its L(x)
-(``code_strings``, which prices it with ``extend_cost`` and builds no
-coder state), with the sequential coder: LZ parent by parent, on the
-transactions where the parent occurs; the non-monotone external adapter
-on every transaction.
+its decisions equal those of ``frequency`` (the entropy test is exact).
+A count too large for ``_KT_TABLE_MAX`` takes the sequential path.
+Signature groups are a KT shortcut (the add-1/2 estimator is
+exchangeable): every other backend counts each distinct candidate as a
+group of its own, from its L(x) (``code_strings``, which prices it with
+``extend_cost`` and builds no coder state), with the sequential coder:
+LZ parent by parent, on the transactions where the parent occurs; the
+non-monotone external adapter on every transaction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import bits as bitutil
 from . import ktbatch
-from .codelength import EstimationError, KTBackend, kt_log2_terms
+from .codelength import EstimationError, KTBackend
 
 VARIANTS = ("scale-free", "additive")
 
@@ -45,8 +46,8 @@ REDECIDE_TOL = 1e-9
 # Elements (groups x contexts x transactions) of one chunk of the KT
 # kernel; bounds the kernel's working memory.
 _BLOCK_ELEMENTS = 1 << 13
-# Largest (contexts x transactions) count table the KT kernel builds; a
-# larger transaction set is counted by the sequential path.
+# Largest (contexts or columns) x transactions array the KT kernel
+# builds; a larger set or count is counted by the sequential path.
 _KT_TABLE_MAX = 1 << 22
 
 
@@ -140,13 +141,6 @@ class TransactionSet:
         return max(self.cached(backend).lengths)
 
 
-def _occurs_len(params: OccurrenceParams, len_x: float, len_y: float,
-                extra: float) -> bool:
-    """Decide occurrence from L(x), L(y) and L(y||x) - L(y)."""
-    return (len_x <= params.entropy_bound(len_y)
-            and extra <= params.noise_bound(len_y))
-
-
 def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     """Does pattern x occur in datum y under the given thresholds?"""
     bitutil.check(x, "pattern")
@@ -155,8 +149,8 @@ def occurs(backend, params: OccurrenceParams, x: str, y: str) -> bool:
     if len_y <= 0.0:
         raise PredicateError(
             f"backend reports code length {len_y} for a non-empty datum")
-    len_x = backend.code_len(x)
-    return _occurs_len(params, len_x, len_y, backend.extend_cost(state_y, x))
+    return (backend.code_len(x) <= params.entropy_bound(len_y)
+            and backend.extend_cost(state_y, x) <= params.noise_bound(len_y))
 
 
 def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> int:
@@ -192,11 +186,13 @@ class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
     ``groups`` groups were counted, over ``pairs``
     (group, transaction) pairs whose extra cost was evaluated.
+    ``per_group`` holds each group's count as an intp array.
     ``occurrences`` maps each x to the ascending indices of the
     transactions it occurs in when the count came from coder states, and
     is None when it came from the KT closed form."""
     groups = 0
     pairs = 0
+    per_group = None
     occurrences = None
 
 
@@ -262,9 +258,9 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
             backend, _limits(params, cache), cache, reps, lens,
             parent if backend.monotone else None)
         counts = [len(ts) for ts in found]
-    counts = np.asarray(counts, dtype=np.intp)[group].tolist()
-    result = Support(zip(candidates, counts))
-    result.groups, result.pairs = len(reps), pairs
+    per_group = np.asarray(counts, dtype=np.intp)
+    result = Support(zip(candidates, per_group[group].tolist()))
+    result.groups, result.pairs, result.per_group = len(reps), pairs, per_group
     if found is not None:
         result.occurrences = dict(zip(candidates, (found[g] for g in group)))
     return result
@@ -347,8 +343,8 @@ def _kt_counts(coded: _Coded):
 
 def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     """Closed-form counts of signature groups (``ktbatch.Groups``, whose
-    first members are ``reps``); None when the count tables would be too
-    large, or the order too high for integer context ids.
+    first members are ``reps``); None when its tables or columns would
+    be too large, or the order too high for integer context ids.
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
@@ -381,6 +377,8 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     ids = np.sort(np.concatenate((body_ids, head_ids)))
     ids = ids[np.diff(ids, prepend=-1) != 0]
     n_cols = len(ids)
+    if n_cols * n_t > _KT_TABLE_MAX:
+        return None  # its (column x transaction) arrays would be too large
     body = groups.body.copy()
     body[1] = np.searchsorted(ids, body_ids)[rank[body[1]]]
     starts = np.searchsorted(body[0], np.arange(len(reps) + 1))
@@ -396,9 +394,9 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     # d = d0 + d1 and the prefix sums A[m] = sum_{i<m} log2(2i + 1),
     # B[m] = sum_{i<m} log2(2i + 2), the walk's terms.  No pair reads past top.
     top = int((c0 + c1).max()) + max_x
-    total, count = kt_log2_terms(top)
-    A = np.concatenate(([0.0], np.cumsum(count[:top])))
-    B = np.concatenate(([0.0], np.cumsum(total[:top])))
+    total, count = ktbatch._terms(top)
+    A = np.concatenate(([0.0], np.cumsum(count)))
+    B = np.concatenate(([0.0], np.cumsum(total)))
     base = B[c0 + c1] - A[c0] - A[c1]
     # Every B - A - A term is compared with ``base``, read from the same
     # tables at y's own counts, so a context a group does not touch costs
@@ -412,7 +410,6 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     per_group = min(max_x, 2 ** (backend.order + 1) - 1)
     tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
-    lens = groups.length.tolist()
     counts = np.zeros(len(reps), dtype=np.intp)
     step = max(1, _BLOCK_ELEMENTS // (n_cols * n_t))
     for lo in range(0, len(reps), step):
@@ -436,8 +433,9 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
         passes = groups.length[lo:hi, None] <= params.entropy_bound(lengths)
         gap = extra - params.noise_bound(lengths)
         ok = passes & (gap <= 0)
+        # ``passes`` is exact; only the noise test is re-decided
         for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
             extra_seq = backend.extend_cost(coded.states[t], reps[lo + g])
-            ok[g, t] = _occurs_len(params, lens[lo + g], coded.lengths[t], extra_seq)
+            ok[g, t] = extra_seq <= params.noise_bound(coded.lengths[t])
         counts[lo:hi] = ok.sum(axis=1)
     return counts

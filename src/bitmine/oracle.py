@@ -9,7 +9,8 @@ by the batch module, each length from the previous class's
 are grouped by signature (``ktbatch.class_groups``), so one string per
 group is counted and only frequent strings are formatted.  Every other
 backend prices each string with ``occurrence.code_strings``
-(``extend_cost``, no coder state) and counts it on its own.
+(``extend_cost``, no coder state) and counts it on its own.  The result
+keeps the L(x) it coded (``Frequent.code_len``) for ``oracle --out``.
 Supports come from the same ``occurrence.support`` kernel the miner uses;
 that kernel is checked against the sequential ``occurrence.frequency`` in
 the tests.
@@ -49,26 +50,35 @@ class OracleConfig:
             raise ValueError(f"max_len must be in 1..{MAX_LEN}")
 
 
+class Frequent(dict):
+    """{pattern: count}, with ``code_len``: {pattern: L(pattern)} as the
+    oracle coded it, ``==`` ``backend.code_len(pattern)``."""
+    code_len = None
+
+
 def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
-                       epsilon: int, config: OracleConfig) -> dict:
+                       epsilon: int, config: OracleConfig) -> Frequent:
     """All patterns of length 1..max_len with support >= epsilon, by exhaustion.
 
-    Returns {pattern: count}.  With must_cover_termination the enumeration
-    must reach a length class whose cheapest member already fails entropy
-    reduction against every transaction (so no longer pattern can occur
-    anywhere); otherwise the possibly-incomplete set is refused.  The
-    minimum code length per length class is found by exhaustive scan.
+    Returns {pattern: count}, with each L(pattern) (``Frequent``).  With
+    must_cover_termination the enumeration must reach a length class whose
+    cheapest member already fails entropy reduction against every
+    transaction (so no longer pattern can occur anywhere); otherwise the
+    possibly-incomplete set is refused.  The minimum code length per
+    length class is found by exhaustive scan.
     """
     if len(T) < 1:
         raise ValueError("transaction set must be non-empty")
     occur_bound = params.entropy_bound(T.max_code_len(backend))
     classes = _kt_classes if isinstance(backend, KTBackend) else _classes
 
-    result = {}
+    result = Frequent()
+    result.code_len = {}
     termination_covered = False
     for min_code_len, frequent in classes(backend, params, T, epsilon,
                                           occur_bound, config.max_len):
-        result.update(frequent)
+        for x, count, length in frequent:
+            result[x], result.code_len[x] = count, length
         if min_code_len > occur_bound:
             termination_covered = True
             break
@@ -83,7 +93,7 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
 
 def _classes(backend, params, T, epsilon, bound, max_len):
     """Per length class: its minimum code length and its frequent
-    (x, count), each string priced by ``code_strings``."""
+    (x, count, L(x)), each string priced by ``code_strings``."""
     for length in range(1, max_len + 1):
         min_code_len, frequent = math.inf, []
         strings = bitutil.all_of_length(length)
@@ -93,7 +103,8 @@ def _classes(backend, params, T, epsilon, bound, max_len):
             # a string above the bound occurs in no transaction; support 0
             kept = [x for x in chunk if coded[x] <= bound]
             counts = support(backend, params, T, kept, coded)
-            frequent += [(x, counts[x]) for x in kept if counts[x] >= epsilon]
+            frequent += [(x, counts[x], coded[x]) for x in kept
+                         if counts[x] >= epsilon]
         yield min_code_len, frequent
 
 
@@ -121,8 +132,8 @@ def _kt_classes(backend: KTBackend, params, T, epsilon, bound, max_len):
             own = np.arange(len(reps))
             counts = support(backend, params, T, reps,
                              groups._replace(group=own, first=own))
-            n = np.array([counts[x] for x in reps])[groups.group]
+            n = counts.per_group[groups.group]
             hit = n >= epsilon
             frequent += zip([format(v, fmt) for v in kept[hit].tolist()],
-                            n[hit].tolist())
+                            n[hit].tolist(), lengths[kept[hit]].tolist())
         yield lengths.min(), frequent

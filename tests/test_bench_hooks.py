@@ -14,7 +14,8 @@ import pytest
 
 import bitmine
 import bitmine.cli
-from bitmine import KTBackend, MiningConfig, OccurrenceParams, TransactionSet
+from bitmine import (KTBackend, LZBackend, MiningConfig, OccurrenceParams,
+                     TransactionSet)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATASET = str(FIXTURES / "dataset7.txt")
@@ -85,6 +86,25 @@ def test_traced_kt_mine_levels_equal_the_stats(order):
     tracing.install(tracer, bitmine, 4)
     try:
         result = bitmine.miner.mine(KTBackend(order),
+                                    OccurrenceParams(c1=0.6, c2=0.3), T,
+                                    MiningConfig(epsilon=4, step_bits=2))
+    finally:
+        tracer.uninstall()
+    assert len(result.stats) > 2
+    assert [(row["candidates"], row["kept"], row["frequent"])
+            for row in tracer.levels] == [(s.candidates, s.kept, s.frequent)
+                                          for s in result.stats]
+
+
+def test_traced_lz_mine_levels_equal_the_stats():
+    # the LZ level prefilters an array of the lengths it priced; the
+    # tracer's rows must still read the candidates, kept and frequent
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    T = TransactionSet(bitmine.textio.load_transactions(DATASET))
+    tracing.install(tracer, bitmine, 4)
+    try:
+        result = bitmine.miner.mine(LZBackend(),
                                     OccurrenceParams(c1=0.6, c2=0.3), T,
                                     MiningConfig(epsilon=4, step_bits=2))
     finally:

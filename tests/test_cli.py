@@ -154,6 +154,10 @@ class TestMine:
         assert "c1" not in header and "c2" not in header
 
 
+def _refuse(*args):
+    raise AssertionError("code_len called")
+
+
 class TestOracle:
     def test_diff_against_mine_output_is_identical(self, capsys):
         assert main(["oracle", DATASET, "--epsilon", "4", "--max-len", "15",
@@ -177,6 +181,27 @@ class TestOracle:
         records, header = parse_result(read(out))
         assert header["epsilon"] == "6"
         assert all(count >= 6 for _, count, _, _ in records)
+
+    @pytest.mark.parametrize("flags, coder", [
+        (["--order", "1"], bitmine.KTBackend(1)),
+        (["--backend", "lz"], bitmine.LZBackend()),
+    ], ids=["kt1", "lz"])
+    def test_out_writes_the_lengths_the_oracle_coded(self, flags, coder,
+                                                     tmp_path, monkeypatch):
+        argv = ["oracle", DATASET, *flags, "--epsilon", "4", "--max-len",
+                "10", "--c1", "0.6", "--c2", "0.3", "--out"]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        assert main([*argv, str(first)]) == 0
+        rows = [ln.split() for ln in read(first).splitlines()
+                if not ln.startswith("#")]
+        assert rows
+        assert all(length == f"{coder.code_len(p):.6f}"
+                   for p, _, length, _ in rows)
+        # no pattern is coded again for the file
+        for cls in (bitmine.KTBackend, bitmine.LZBackend):
+            monkeypatch.setattr(cls, "code_len", _refuse)
+        assert main([*argv, str(second)]) == 0
+        assert read(second) == read(first)
 
     def test_must_cover_termination_flag_is_data_error_here(self, capsys):
         assert main(["oracle", DATASET, "--epsilon", "4", "--max-len", "8",

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from bitmine import (KTBackend, LZBackend, MiningConfig, OccurrenceParams,
                      OracleConfig, TransactionSet, enumerate_frequent,
                      frequency, gen_random, mine, occurs, support)
-from bitmine import occurrence
+from bitmine import ktbatch, occurrence
+from bitmine.codelength import ExternalBackend
 
 BACKENDS = [KTBackend(0), KTBackend(1), KTBackend(2), KTBackend(3), LZBackend()]
 
@@ -68,6 +69,56 @@ def test_orders_past_integer_context_ids_take_the_sequential_path():
         assert mine(backend, params, T, MiningConfig(
             epsilon=3, step_bits=2, max_level=2)).as_dict() == \
             enumerate_frequent(backend, params, T, 3, OracleConfig(max_len=6))
+
+
+def test_closed_form_columns_over_budget_take_the_coder_path(monkeypatch):
+    # at order 9 the count's columns (each head's contexts after every
+    # tail) span 1,680 (column, transaction) entries here, more than the
+    # 1,288 of the count table: a budget between the two admits the
+    # table but not the columns, so the count must come from the coder
+    T = gen_random(8, (20, 30), 3)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    candidates = [format(v, "05b") for v in range(32)]
+    backend = KTBackend(9)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1500)
+    counts = support(backend, params, T, candidates)
+    assert T.cached(backend).kt is not None  # the table fit the budget
+    assert counts.occurrences is not None  # the coder path counted
+    assert counts == {x: frequency(backend, params, T, x) for x in candidates}
+
+
+def _per_group_is_the_dict(counts, candidates, group):
+    assert len(counts.per_group) == counts.groups
+    assert counts.per_group[group].tolist() == [counts[x] for x in candidates]
+
+
+@pytest.mark.parametrize("table_max", [1 << 22, 0],
+                         ids=["closed-form", "coder-path"])
+def test_kt_per_group_holds_each_groups_count(table_max, monkeypatch):
+    # the closed form, and the coder path when the tables are refused
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table_max)
+    T = gen_random(8, (20, 30), 3)
+    candidates = [format(v, "06b") for v in range(64)]
+    groups = ktbatch.string_groups(2, candidates)
+    counts = support(KTBackend(2), OccurrenceParams(c1=0.6, c2=0.3), T,
+                     candidates, groups)
+    assert (counts.occurrences is None) == (table_max > 0)
+    assert counts.groups < len(candidates)
+    _per_group_is_the_dict(counts, candidates, groups.group)
+
+
+@pytest.mark.parametrize("backend", [LZBackend(), ExternalBackend("cat")],
+                         ids=["lz", "external"])
+def test_per_group_holds_each_distinct_candidates_count(backend):
+    T = gen_random(6, (20, 30), 3)
+    candidates = ["0110", "1", "0110", "00", "1011", "1"]
+    counts = support(backend, OccurrenceParams(c1=0.6, c2=0.3), T,
+                     candidates)
+    # each distinct candidate is a group, numbered in order of first sight
+    number = {}
+    group = [number.setdefault(x, len(number)) for x in candidates]
+    assert counts.groups == 4
+    _per_group_is_the_dict(counts, candidates, group)
 
 
 class _ScannedCounts(dict):
