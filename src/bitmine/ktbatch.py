@@ -34,7 +34,9 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
   ``class_groups`` gives it for the oracle, ``groups`` for each level of
   the miner, and ``string_groups`` for plain strings.  ``head_steps``
   gives the closed form each head's steps after each transaction's tail
-  from integer windows, with no walk.
+  from integer windows, with no walk, and ``context_ids`` names contexts
+  by integers below 2 << order, the rows of the closed form's count
+  tables (orders up to ``occurrence._KT_MAX_ORDER``).
 """
 
 from __future__ import annotations
@@ -425,21 +427,20 @@ def class_groups(order: int, width: int, values: np.ndarray,
     return Groups(group, first, lengths[first], head_of, body, names)
 
 
-# Largest KT order whose context ids, (1 << j) | value for a context of
-# j <= order bits, fit an int64.
-ID_ORDER = 62
 # Largest (head, tail, step) block ``head_steps`` builds at once.
 _HEAD_BLOCK = 1 << 14
 
 
 def _values(strings):
-    """(value, bits) of each bit string of at most ``ID_ORDER`` bits."""
+    """(value, bits) of each bit string (of at most 62 bits, so that its
+    context id fits an int64)."""
     return (np.array([int(x or "0", 2) for x in strings], dtype=np.intp),
             np.array([len(x) for x in strings], dtype=np.intp))
 
 
 def context_ids(contexts) -> np.ndarray:
-    """The id (1 << j) | value of each context string of j bits."""
+    """The id (1 << j) | value of each context string of j bits, below
+    2 << order for contexts of at most ``order`` bits."""
     value, size = _values(contexts)
     return (1 << size) | value
 
@@ -459,7 +460,7 @@ def head_steps(order: int, tails: list, heads: list):
 
     Step i of head h after tail t has the context of the last
     min(order, |t| + i) bits of t + h[:i] (a tail is a coder context, at
-    most ``order`` <= ``ID_ORDER`` bits).  It is read from integer windows
+    most ``order`` bits).  It is read from integer windows
     of the tail and head values, a block of heads at a time, with no walk.
     """
     tv, tl = _values(tails)

@@ -97,9 +97,9 @@ class LevelStats:
     kept: int        # left after the entropy-reduction prefilter
     groups: int      # groups counted: KT signature groups, else candidates
     # (group, transaction) pairs whose extra cost was evaluated: all of them
-    # under the KT closed form; for LZ only the (child, transaction) pairs
-    # priced on the parent's occurrence list where L(x) passes entropy
-    # reduction
+    # under the KT closed form (orders up to 8, see ``support``); for LZ,
+    # and KT above order 8, only the pairs priced on the parent's
+    # occurrence list where L(x) passes entropy reduction
     pairs: int
     frequent: int
     seconds: float   # wall time of the whole level

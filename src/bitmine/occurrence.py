@@ -19,7 +19,9 @@ coder, or ``ktbatch.string_groups`` for plain strings), evaluates
 L(y||x) - L(y) in closed form with numpy and hands every pair within
 ``REDECIDE_TOL`` of the noise threshold back to the sequential coder, so
 its decisions equal those of ``frequency`` (the entropy test is exact).
-A count too large for ``_KT_TABLE_MAX`` takes the sequential path.
+It does so only up to order ``_KT_MAX_ORDER`` and while a table of
+2**(order + 1) rows by |T| fits ``_KT_TABLE_MAX``; past either, KT takes
+the sequential path.
 Signature groups are a KT shortcut (the add-1/2 estimator is
 exchangeable): every other backend counts each distinct candidate as a
 group of its own, from its L(x) (``code_strings``, which prices it with
@@ -46,8 +48,14 @@ REDECIDE_TOL = 1e-9
 # Elements (groups x contexts x transactions) of one chunk of the KT
 # kernel; bounds the kernel's working memory.
 _BLOCK_ELEMENTS = 1 << 13
-# Largest (contexts or columns) x transactions array the KT kernel
-# builds; a larger set or count is counted by the sequential path.
+# Largest KT order counted in closed form.  Its columns span every
+# context a count touches, so its work grows with the order, while the
+# sequential path prunes by the parents' occurrence lists; above this
+# order the sequential path was faster in both the miner and the oracle.
+_KT_MAX_ORDER = 8
+# Largest (context id x transaction) table the KT kernel builds: a context
+# of j <= order bits has id (1 << j) | value < 2 << order, so this bounds
+# the count tables and every count's (column x transaction) arrays.
 _KT_TABLE_MAX = 1 << 22
 
 
@@ -94,7 +102,6 @@ class _Coded:
     lengths: list   # L(y) per transaction
     states: list    # coder state after y per transaction
     kt: object = None  # _KTCounts, built by the first closed-form count
-    kt_refused: bool = False  # the count tables were found too large
 
 
 def _check_items(items):
@@ -220,11 +227,13 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     signatures cost the same after any coder state, hence have identical
     support), ``coded`` is the candidates' ``ktbatch.Groups`` (by default
     ``ktbatch.string_groups``, after checking the candidates), and the
-    groups are counted in closed form, on every transaction.  For every
+    groups are counted in closed form, on every transaction, up to order
+    ``_KT_MAX_ORDER`` while (2 << order) x |T| fits ``_KT_TABLE_MAX``;
+    this is the one place that chooses the KT count path.  For every
     other backend each distinct candidate is a group of its own, and
     ``coded`` maps each x to L(x), as ``code_strings`` (the default)
-    returns it.  Every other backend (and KT when its count tables are
-    too large) is counted parent by parent (``_count_by_parent``):
+    returns it.  Every other backend (and KT past that order or size) is
+    counted parent by parent (``_count_by_parent``):
     ``parent`` maps x to (p, occ), a prefix p of x and the transaction
     indices where p occurs (None: every transaction).  With a monotone
     backend x can only occur where p does, so the transactions outside
@@ -247,12 +256,11 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
         reps = list(number)
         lens = [coded[x] for x in reps]
     cache = T.cached(backend)
-
-    counts = found = None
-    if kt and reps and len(cache.items):
+    n_t = len(cache.items)
+    if (kt and reps and n_t and backend.order <= _KT_MAX_ORDER
+            and (2 << backend.order) * n_t <= _KT_TABLE_MAX):
         counts = _kt_support(backend, params, cache, coded, reps)
-    if counts is not None:
-        pairs = len(reps) * len(cache.items)
+        found, pairs = None, len(reps) * n_t
     else:
         found, pairs = _count_by_parent(
             backend, _limits(params, cache), cache, reps, lens,
@@ -305,46 +313,32 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
 @dataclass
 class _KTCounts:
     """Per-context counts of every transaction, laid out for the kernel."""
-    ids: np.ndarray    # ascending ids (``ktbatch.context_ids``) of the contexts
-    zeros: np.ndarray  # (contexts + 1) x transactions, a row per id; the
-    ones: np.ndarray   # extra last row is all zero
+    zeros: np.ndarray  # (2 << order) x transactions, a row per context id
+    ones: np.ndarray   # (``ktbatch.context_ids``); zero where y lacks it
     tails: list       # distinct tail contexts (coder context after y)
     tail_of: np.ndarray  # index into tails, per transaction
 
 
-def _kt_counts(coded: _Coded):
-    """The count tables of a KT-coded set, or None when they exceed
-    ``_KT_TABLE_MAX`` elements (decided once per set)."""
-    if coded.kt is None and not coded.kt_refused:
-        rows: dict = {}
-        for state in coded.states:
-            for ctx in state.counts:
-                rows.setdefault(ctx, len(rows))
-        if (len(rows) + 1) * len(coded.states) > _KT_TABLE_MAX:
-            coded.kt_refused = True
-            return None
-        ids = ktbatch.context_ids(rows)
-        by_id = np.argsort(ids)
-        rank = np.empty_like(by_id)  # per context, its row
-        rank[by_id] = np.arange(len(ids))
-        zeros = np.zeros((len(rows) + 1, len(coded.states)), dtype=np.intp)
+def _kt_counts(coded: _Coded, order: int):
+    """The count tables of a KT-coded set, built once per set."""
+    if coded.kt is None:
+        contexts = dict.fromkeys(c for s in coded.states for c in s.counts)
+        ids = dict(zip(contexts, ktbatch.context_ids(contexts).tolist()))
+        zeros = np.zeros((2 << order, len(coded.states)), dtype=np.intp)
         ones = np.zeros_like(zeros)
         tails: dict = {}
         tail_of = []
         for t, state in enumerate(coded.states):
             for ctx, (c0, c1) in state.counts.items():
-                row = rank[rows[ctx]]
-                zeros[row, t], ones[row, t] = c0, c1
+                zeros[ids[ctx], t], ones[ids[ctx], t] = c0, c1
             tail_of.append(tails.setdefault(state.context, len(tails)))
-        coded.kt = _KTCounts(ids[by_id], zeros, ones, list(tails),
-                             np.array(tail_of))
+        coded.kt = _KTCounts(zeros, ones, list(tails), np.array(tail_of))
     return coded.kt
 
 
 def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     """Closed-form counts of signature groups (``ktbatch.Groups``, whose
-    first members are ``reps``); None when its tables or columns would
-    be too large, or the order too high for integer context ids.
+    first members are ``reps``).
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
@@ -355,11 +349,7 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     ``_BLOCK_ELEMENTS`` entries (a single group may exceed it).
     """
     k = backend.order
-    if k > ktbatch.ID_ORDER:
-        return None
-    kt = _kt_counts(coded)
-    if kt is None:
-        return None
+    kt = _kt_counts(coded, k)
     lengths = np.asarray(coded.lengths)
     n_t = len(coded.states)
     max_x = max(map(len, reps))
@@ -377,17 +367,12 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     ids = np.sort(np.concatenate((body_ids, head_ids)))
     ids = ids[np.diff(ids, prepend=-1) != 0]
     n_cols = len(ids)
-    if n_cols * n_t > _KT_TABLE_MAX:
-        return None  # its (column x transaction) arrays would be too large
     body = groups.body.copy()
     body[1] = np.searchsorted(ids, body_ids)[rank[body[1]]]
     starts = np.searchsorted(body[0], np.arange(len(reps) + 1))
     head_col = np.searchsorted(ids, head_ids)
     del head_ids  # one int64 per (tail, head step): free it for the chunks
-    # each column's row of the count tables (the zero row if y lacks it)
-    row = np.minimum(np.searchsorted(kt.ids, ids), len(kt.ids) - 1)
-    row[kt.ids[row] != ids] = len(kt.ids)
-    c0, c1 = kt.zeros[row], kt.ones[row]
+    c0, c1 = kt.zeros[ids], kt.ones[ids]
     # By exchangeability, coding d0 zeros and d1 ones in a context with
     # counts (c0, c1) costs, in any order, (B[n + d] - B[n])
     # - (A[c0 + d0] - A[c0]) - (A[c1 + d1] - A[c1]), with n = c0 + c1,

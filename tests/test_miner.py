@@ -286,20 +286,20 @@ class TestKTLevels:
                                                monkeypatch):
         backend = KTBackend(order)
         T = fixture_transactions
-        # at order 24 every pattern here is all head, and the closed form
-        # spans a column per (tail, head) context: a fifth level takes 5 s
-        config = MiningConfig(epsilon=3, step_bits=2,
-                              max_level=3 if order == 24 else 5)
+        config = MiningConfig(epsilon=3, step_bits=2, max_level=5)
         result = mine(backend, params, T, config)
         assert len(result) > 0
         assert all(p.code_len == backend.code_len(p.pattern) for p in result)
         # every level's stats (but its time) are those of support on the
-        # strings it kept
+        # strings it kept, each on its parent's occurrence list as the
+        # miner passes it (above order 8 the coder path prices only those)
         bound = params.entropy_bound(T.max_code_len(backend))
         candidates = [x for n in (1, 2) for x in bitutil.all_of_length(n)]
+        occurs_in = {"": None}
         for stats in result.stats:
             kept = [x for x in candidates if backend.code_len(x) <= bound]
-            counts = support(backend, params, T, kept)
+            counts = support(backend, params, T, kept,
+                             parent=lambda x: (x[:-2], occurs_in[x[:-2]]))
             frequent = [p for p in result if p.level == stats.level]
             assert {p.pattern: p.count for p in frequent} == {
                 x: c for x, c in counts.items() if c >= 3}
@@ -308,6 +308,8 @@ class TestKTLevels:
                                         counts.groups, counts.pairs,
                                         len(frequent))
             candidates = generate(frequent, 2)
+            found = counts.occurrences or {}
+            occurs_in = {p.pattern: found.get(p.pattern) for p in frequent}
         # with the count tables refused, the coder path counts each group
         # on its parent's occurrence list, and finds the same
         monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 0)

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitmine import (KTBackend, LZBackend, MiningConfig, OccurrenceParams,
-                     OracleConfig, TransactionSet, enumerate_frequent,
-                     frequency, gen_random, mine, occurs, support)
+                     OracleConfig, PlantSpec, TransactionSet,
+                     enumerate_frequent, frequency, gen_planted, gen_random,
+                     mine, occurs, support)
 from bitmine import ktbatch, occurrence
 from bitmine.codelength import ExternalBackend
 
@@ -56,8 +57,8 @@ def test_count_tables_over_budget_take_the_sequential_path(monkeypatch):
 
 def test_orders_past_integer_context_ids_take_the_sequential_path():
     # the closed form names contexts by int64 ids, which hold orders up
-    # to 62; a higher order is counted by the coder, and mined and
-    # enumerated alike
+    # to 62, but it runs only up to order 8: these orders, 62 included,
+    # are counted by the coder, and mined and enumerated alike
     T = gen_random(8, (20, 30), 3)
     params = OccurrenceParams(c1=0.6, c2=0.3)
     candidates = [format(v, "05b") for v in range(32)]
@@ -65,26 +66,62 @@ def test_orders_past_integer_context_ids_take_the_sequential_path():
         backend = KTBackend(order)
         assert support(backend, params, T, candidates) == {
             x: frequency(backend, params, T, x) for x in candidates}
-        assert (T.cached(backend).kt is None) == (order > 62)
+        assert T.cached(backend).kt is None
         assert mine(backend, params, T, MiningConfig(
             epsilon=3, step_bits=2, max_level=2)).as_dict() == \
             enumerate_frequent(backend, params, T, 3, OracleConfig(max_len=6))
 
 
-def test_closed_form_columns_over_budget_take_the_coder_path(monkeypatch):
-    # at order 9 the count's columns (each head's contexts after every
-    # tail) span 1,680 (column, transaction) entries here, more than the
-    # 1,288 of the count table: a budget between the two admits the
-    # table but not the columns, so the count must come from the coder
-    T = gen_random(8, (20, 30), 3)
+def _counted_in_closed_form(backend, T, candidates):
+    """Count ``candidates`` with ``support``, check the counts against
+    ``frequency`` and say whether the closed form counted them."""
     params = OccurrenceParams(c1=0.6, c2=0.3)
-    candidates = [format(v, "05b") for v in range(32)]
-    backend = KTBackend(9)
-    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1500)
     counts = support(backend, params, T, candidates)
-    assert T.cached(backend).kt is not None  # the table fit the budget
-    assert counts.occurrences is not None  # the coder path counted
     assert counts == {x: frequency(backend, params, T, x) for x in candidates}
+    closed = counts.occurrences is None  # the coder path reports the lists
+    assert closed == (T.cached(backend).kt is not None)
+    return closed
+
+
+def test_closed_form_runs_up_to_order_8():
+    # past order 8 the coder path, pruned by parents, is the faster one
+    T = gen_random(8, (20, 30), 3)
+    candidates = [format(v, "05b") for v in range(32)]
+    assert _counted_in_closed_form(KTBackend(8), T, candidates)
+    assert not _counted_in_closed_form(KTBackend(9), T, candidates)
+
+
+@pytest.mark.parametrize("order", [0, 2, 8])
+def test_closed_form_runs_while_its_table_fits_the_budget(order, monkeypatch):
+    # a table of 2 << order rows (context ids) by |T| transactions bounds
+    # the count tables and every count's (column x transaction) arrays
+    T = gen_random(8, (20, 30), 3)
+    candidates = [format(v, "05b") for v in range(32)]
+    table = (2 << order) * len(T)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table)
+    assert _counted_in_closed_form(KTBackend(order), T, candidates)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table - 1)
+    assert not _counted_in_closed_form(KTBackend(order), TransactionSet(T.items),
+                                       candidates)
+
+
+def test_planted_order_24_mines_like_the_oracle_on_the_coder_path(monkeypatch):
+    # at order 24 the closed form's columns (each head's contexts after
+    # every tail) took minutes on these 30 transactions; the coder path,
+    # pruned by the parents' occurrence lists, takes about a second
+    def refuse(*args):
+        raise AssertionError("the closed form ran at order 24")
+
+    monkeypatch.setattr(occurrence, "_kt_support", refuse)
+    T, _ = gen_planted(PlantSpec(transaction_count=30, rng_seed=2))
+    backend = KTBackend(24)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    config = MiningConfig(epsilon=0.3, step_bits=3, max_level=3)
+    result = mine(backend, params, T, config)
+    assert len(result) > 1000
+    assert result.as_dict() == enumerate_frequent(
+        backend, params, T, config.resolve_epsilon(len(T)),
+        OracleConfig(max_len=12))
 
 
 def _per_group_is_the_dict(counts, candidates, group):
@@ -95,7 +132,7 @@ def _per_group_is_the_dict(counts, candidates, group):
 @pytest.mark.parametrize("table_max", [1 << 22, 0],
                          ids=["closed-form", "coder-path"])
 def test_kt_per_group_holds_each_groups_count(table_max, monkeypatch):
-    # the closed form, and the coder path when the tables are refused
+    # the closed form, and the coder path when the table is over budget
     monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table_max)
     T = gen_random(8, (20, 30), 3)
     candidates = [format(v, "06b") for v in range(64)]
@@ -130,22 +167,21 @@ class _ScannedCounts(dict):
         return super().__iter__()
 
 
-def test_count_tables_are_refused_once_per_set(monkeypatch):
+@pytest.mark.parametrize("order, table_max", [(2, 0), (9, 1 << 22)],
+                         ids=["over-budget", "past-order-8"])
+def test_choosing_the_coder_path_scans_no_contexts(order, table_max,
+                                                   monkeypatch):
+    # the path is chosen from the order and |T| alone, before any table
     T = gen_random(6, (12, 20), 3)
-    params = OccurrenceParams(c1=0.6, c2=0.3)
     candidates = [format(v, "04b") for v in range(16)]
-    backend = KTBackend(2)
-    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 0)
+    backend = KTBackend(order)
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table_max)
     monkeypatch.setattr(_ScannedCounts, "scans", 0)
     coded = T.cached(backend)
     coded.states[:] = [s._replace(counts=_ScannedCounts(s.counts))
                        for s in coded.states]
-    first = support(backend, params, T, candidates)
-    assert _ScannedCounts.scans == len(T)  # one scan of each state's contexts
-    assert coded.kt is None and coded.kt_refused
-    assert support(backend, params, T, candidates) == first
-    assert _ScannedCounts.scans == len(T)  # the refusal was not re-derived
-    assert first == {x: frequency(backend, params, T, x) for x in candidates}
+    assert not _counted_in_closed_form(backend, T, candidates)
+    assert _ScannedCounts.scans == 0
 
 
 @pytest.mark.parametrize("order", [0, 2, 4])
@@ -276,7 +312,7 @@ def test_miner_equals_oracle(order, params):
 
 
 @settings(max_examples=40, deadline=None)
-@given(backend=st.sampled_from(BACKENDS + [KTBackend(5), KTBackend(9)]),
+@given(backend=st.sampled_from(BACKENDS + [KTBackend(k) for k in (5, 8, 9, 24)]),
        params=params_strategy,
        items=st.lists(bit_strings(6, 16), min_size=2, max_size=6),
        step_bits=st.integers(1, 3), epsilon=st.integers(1, 3))
