@@ -20,7 +20,8 @@ from .miner import (FrequentPattern, LevelCapError, LevelStats, MiningConfig,
                     MiningResult, generate, mine, seed_level0)
 from .occurrence import (OccurrenceParams, PredicateError, TransactionSet,
                          frequency, occurs, support)
-from .oracle import IncompleteEnumerationError, OracleConfig, enumerate_frequent
+from .oracle import (ClassStats, IncompleteEnumerationError, OracleConfig,
+                     enumerate_frequent)
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,8 @@ __all__ = [
     "support",
     "FrequentPattern", "LevelCapError", "LevelStats", "MiningConfig", "MiningResult",
     "generate", "mine", "seed_level0",
-    "IncompleteEnumerationError", "OracleConfig", "enumerate_frequent",
+    "ClassStats", "IncompleteEnumerationError", "OracleConfig",
+    "enumerate_frequent",
     "DistanceMatrix", "UndefinedDistanceError", "distance_matrix", "info_dist",
     "kraft_diagnostic", "ncd", "nid_estimate", "triangle_violation_rate",
     "PlantSpec", "Xorshift64Star", "gen_planted", "gen_random",

@@ -143,6 +143,8 @@ def build_parser() -> _Parser:
     p.add_argument("--diff", default=None,
                    help="result file to compare against (patterns and counts)")
     p.add_argument("--out", default=None)
+    p.add_argument("--stats", default=None, metavar="FILE",
+                   help="write per-length-class statistics as JSON")
     _add_backend_args(p)
     _add_threshold_args(p)
 
@@ -215,8 +217,9 @@ def _cmd_mine(args) -> int:
 
 
 def _write_stats(path, stats, *extra):
-    """Write one JSON record per ``LevelStats``, then ``extra``, to
-    ``--stats`` (if given)."""
+    """Write one JSON record per stats record (``LevelStats`` of a mine,
+    ``ClassStats`` of an oracle), then ``extra``, to ``--stats`` (if
+    given)."""
     if path is not None:
         records = [dataclasses.asdict(level) for level in stats] + list(extra)
         _write(path, json.dumps(records, indent=1) + "\n")
@@ -227,10 +230,11 @@ def _cmd_oracle(args) -> int:
     params = _make_params(args)
     config = MiningConfig(epsilon=_parse_epsilon(args.epsilon))  # epsilon rules
     oracle_config = OracleConfig(args.max_len, args.must_cover_termination)
-    _check_outputs(args.out)
+    _check_outputs(args.out, args.stats)
     T = _load_transactions(args.input)
     found = enumerate_frequent(backend, params, T, config.resolve_epsilon(len(T)),
                                oracle_config)
+    _write_stats(args.stats, found.stats)
 
     if args.diff is not None:
         records, _ = textio.parse_result(textio.read_text(args.diff))

@@ -14,9 +14,12 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
   each row with ``np.cumsum``, which adds in order.
 - ``class_lengths`` codes a length class of the oracle from the initial
   state, each string's length from its prefix's in the previous class:
-  the walk's own last addition.  ``class_groups`` groups a class's
-  strings by signature, so ``oracle.enumerate_frequent`` counts one string
-  per group.
+  the walk's own last addition.  The oracle carries signature groups over
+  from class to class the same way, a string's group from its prefix's
+  group and its last bit, and ``class_groups`` merges those (group, tail,
+  bit) combinations that have equal signatures, one string per
+  combination, so ``oracle.enumerate_frequent`` counts each signature once
+  per class; ``class_bodies`` gives the counted strings' bodies.
 - The level coder codes a whole level of the KT miner.  A ``Frontier``
   keeps no coder state: per pattern its L(p), its tail (the coder context
   after it), its head (its first ``order`` bits) and its count row, the
@@ -31,7 +34,7 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
   contexts that occur, not the 2**order that may.
 - ``Groups`` is the one form in which the KT closed form
   (``occurrence.support``) takes signature groups, as count arrays:
-  ``class_groups`` gives it for the oracle, ``groups`` for each level of
+  ``class_bodies`` gives it for the oracle, ``groups`` for each level of
   the miner, and ``string_groups`` for plain strings.  ``head_steps``
   gives the closed form each head's steps after each transaction's tail
   from integer windows, with no walk, and ``context_ids`` names contexts
@@ -394,25 +397,56 @@ def _bits(value: int, width: int) -> str:
     return format(value | 1 << width, "b")[1:]
 
 
-def class_groups(order: int, width: int, values: np.ndarray,
-                 lengths: np.ndarray) -> Groups:
-    """Group the ``width``-bit strings whose ascending integer values are
-    ``values`` (at most 20 bits), of lengths ``lengths``, exactly as
-    ``KTBackend(order).signature`` partitions them.
-
-    A string's count row is the multiset of its windows (as in
-    ``class_lengths``), so a group is one (head, row-sorted windows).  A
-    group's body is read off its first member's sorted windows: each run
-    of one context gives its zeros and ones.
-    """
+def _windows(order: int, width: int, values: np.ndarray):
+    """The head (first ``min(order, width)`` bits) of each ``width``-bit
+    string of ``values``, and its windows, ascending: each later bit with
+    its ``order``-bit context, as in ``class_lengths``.  A string's count
+    row is the multiset of its windows."""
     head = min(order, width)
     shift = np.arange(width - 1 - order, -1, -1)  # none when order >= width
-    windows = np.sort(values[:, None] >> shift & ((2 << head) - 1), axis=1)
-    heads = values >> (width - head)
-    group, first = _partition([heads, *_pack(windows.T, head + 1)])
-    heads, head_of = np.unique(heads[first], return_inverse=True)
-    names = [_bits(v, head) for v in heads.tolist()]
-    rows = windows[first]
+    return (values >> (width - head),
+            np.sort(values[:, None] >> shift & ((2 << head) - 1), axis=1))
+
+
+def class_groups(order: int, width: int, values: np.ndarray, chunk: int):
+    """(group of each, index of each group's first member) of the
+    ``width``-bit strings whose ascending integer values are ``values`` (at
+    most 20 bits), exactly as ``KTBackend(order).signature`` partitions
+    them, groups numbered by first member.
+
+    A group is one (head, sorted windows).  The oracle passes one string
+    per (prefix group, last bit) combination of a class, so that
+    combinations of equal signature merge.  Strings of different heads
+    never share a group, and each head's strings are one aligned range of
+    values, so the strings are partitioned a range of whole heads at a
+    time: about ``chunk`` values wide, or one head's if that is wider.
+    """
+    head = min(order, width)
+    block = 1 << (width - head)  # values per head
+    span = block * max(1, chunk // block)
+    ends = np.searchsorted(values, np.arange(span, (1 << width) + span, span))
+    group = np.empty(len(values), dtype=np.int32)
+    leads = np.zeros(len(values), dtype=bool)  # first of its group
+    lo = n = 0
+    for hi in ends[np.diff(ends, prepend=0) > 0].tolist():
+        heads, windows = _windows(order, width, values[lo:hi])
+        part, lead = _partition([heads, *_pack(windows.T, head + 1)])
+        group[lo:hi] = part + n
+        leads[lead + lo] = True
+        lo, n = hi, n + len(lead)
+    return group, np.flatnonzero(leads)
+
+
+def class_bodies(order: int, width: int, values: np.ndarray,
+                 lengths: np.ndarray) -> Groups:
+    """``Groups`` of ``width``-bit strings of pairwise distinct signatures,
+    each its own group, as ``class_groups``'s first members are, with
+    lengths ``lengths``.  A group's body is read off its string's sorted
+    windows: each run of one context gives its zeros and ones."""
+    heads, rows = _windows(order, width, values)
+    own = np.arange(len(values))
+    heads, head_of = np.unique(heads, return_inverse=True)
+    names = [_bits(v, min(order, width)) for v in heads.tolist()]
     ctx = rows >> 1
     starts = np.ones(ctx.shape, dtype=bool)  # first window of a context
     starts[:, 1:] = ctx[:, 1:] != ctx[:, :-1]
@@ -424,7 +458,7 @@ def class_groups(order: int, width: int, values: np.ndarray,
         names += [_bits(v, order) for v in contexts.tolist()]
         body[:] = (at // ctx.shape[1], context + len(heads),
                    np.diff(at, append=ctx.size) - ones, ones)
-    return Groups(group, first, lengths[first], head_of, body, names)
+    return Groups(own, own, lengths, head_of, body, names)
 
 
 # Largest (head, tail, step) block ``head_steps`` builds at once.

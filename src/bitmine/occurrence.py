@@ -222,7 +222,10 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
-    Candidates are counted in groups, each once, by its first member.
+    Candidates are counted in groups, each once, by its first member in
+    ``candidates``: its L(x) decides entropy reduction for the whole
+    group, and only it is re-coded where the noise test is re-decided.
+    (The oracle passes each KT group's first kept member alone.)
     For a ``KTBackend`` a group is a signature group (strings with equal
     signatures cost the same after any coder state, hence have identical
     support), ``coded`` is the candidates' ``ktbatch.Groups`` (by default

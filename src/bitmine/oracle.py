@@ -5,12 +5,16 @@ with no pruning.  Only meant for desk-scale verification of the level-wise
 miner's search.  Each string's code length is taken once, as from the
 initial coder state.  A ``KTBackend``'s length classes are coded in numpy
 by the batch module, each length from the previous class's
-(``ktbatch.class_lengths``, ``==`` ``code_len``), and a chunk's strings
-are grouped by signature (``ktbatch.class_groups``), so one string per
-group is counted and only frequent strings are formatted.  Every other
-backend prices each string with ``occurrence.code_strings``
-(``extend_cost``, no coder state) and counts it on its own.  The result
-keeps the L(x) it coded (``Frequent.code_len``) for ``oracle --out``.
+(``ktbatch.class_lengths``, ``==`` ``code_len``).  Its signature groups
+carry over from class to class too: a string's signature is its prefix's
+plus one window, so a class's groups follow from the previous class's
+(``ktbatch.class_groups`` merges the combinations of equal signature),
+each string keeps only its group's number, and each signature is counted
+once per class, by its first kept member.  Only frequent strings are
+formatted.  Every other backend prices each string with
+``occurrence.code_strings`` (``extend_cost``, no coder state) and counts
+it on its own.  The result keeps the L(x) it coded (``Frequent.code_len``)
+for ``oracle --out``, and what each class did (``Frequent.stats``).
 Supports come from the same ``occurrence.support`` kernel the miner uses;
 that kernel is checked against the sequential ``occurrence.frequency`` in
 the tests.
@@ -20,16 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
 from . import bits as bitutil
 from .codelength import KTBackend
-from .ktbatch import class_groups, class_lengths
+from .ktbatch import class_bodies, class_groups, class_lengths
 from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
-# Strings of one length class counted per support call; bounds memory.
+# Strings of one length class coded (and grouped) at a time, and groups
+# counted per support call; bounds memory.
 _CHUNK = 2048
 # Budget cap: the oracle codes all 2**(max_len + 1) - 2 strings, and a
 # KT run holds two classes of lengths (12 MB at 20 bits).
@@ -50,10 +56,25 @@ class OracleConfig:
             raise ValueError(f"max_len must be in 1..{MAX_LEN}")
 
 
+@dataclass(frozen=True)
+class ClassStats:
+    """What the oracle did for one length class."""
+    width: int           # the length of the class's strings
+    strings: int         # strings coded: 2 ** width
+    kept: int            # strings within the entropy-reduction bound
+    groups: int          # groups counted: KT signature groups, else kept
+    pairs: int           # (group, transaction) pairs evaluated by ``support``
+    min_code_len: float  # the least L(x) of the class
+    # min_code_len is above the bound, so no longer string occurs anywhere
+    termination_covered: bool
+
+
 class Frequent(dict):
     """{pattern: count}, with ``code_len``: {pattern: L(pattern)} as the
-    oracle coded it, ``==`` ``backend.code_len(pattern)``."""
+    oracle coded it, ``==`` ``backend.code_len(pattern)``, and ``stats``:
+    one ``ClassStats`` per length class enumerated."""
     code_len = None
+    stats = None
 
 
 def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
@@ -66,6 +87,10 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     transaction (so no longer pattern can occur anywhere); otherwise the
     possibly-incomplete set is refused.  The minimum code length per
     length class is found by exhaustive scan.
+
+    ``support`` decides a group by one member: a KT signature group by its
+    first kept member in ascending value, that is, as a string, in
+    lexicographic order.
     """
     if len(T) < 1:
         raise ValueError("transaction set must be non-empty")
@@ -73,17 +98,17 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     classes = _kt_classes if isinstance(backend, KTBackend) else _classes
 
     result = Frequent()
-    result.code_len = {}
-    termination_covered = False
-    for min_code_len, frequent in classes(backend, params, T, epsilon,
-                                          occur_bound, config.max_len):
+    result.code_len, result.stats = {}, []
+    for stats, frequent in classes(backend, params, T, epsilon, occur_bound,
+                                   config.max_len):
         for x, count, length in frequent:
             result[x], result.code_len[x] = count, length
-        if min_code_len > occur_bound:
-            termination_covered = True
+        result.stats.append(stats)
+        if stats.termination_covered:
             break
 
-    if config.must_cover_termination and not termination_covered:
+    covered = result.stats[-1].termination_covered
+    if config.must_cover_termination and not covered:
         raise IncompleteEnumerationError(
             f"no length <= {config.max_len} has min code length above the "
             f"entropy-reduction bound {occur_bound:.3f}; enumeration may be "
@@ -91,11 +116,17 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     return result
 
 
+def _class_stats(width, kept, groups, pairs, min_code_len, bound):
+    return ClassStats(width, 1 << width, int(kept), groups, pairs,
+                      float(min_code_len), bool(min_code_len > bound))
+
+
 def _classes(backend, params, T, epsilon, bound, max_len):
-    """Per length class: its minimum code length and its frequent
+    """Per length class: its ``ClassStats`` and its frequent
     (x, count, L(x)), each string priced by ``code_strings``."""
     for length in range(1, max_len + 1):
         min_code_len, frequent = math.inf, []
+        n_kept = groups = pairs = 0
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):
             coded = code_strings(backend, chunk)
@@ -105,35 +136,102 @@ def _classes(backend, params, T, epsilon, bound, max_len):
             counts = support(backend, params, T, kept, coded)
             frequent += [(x, counts[x], coded[x]) for x in kept
                          if counts[x] >= epsilon]
-        yield min_code_len, frequent
+            n_kept, groups = n_kept + len(kept), groups + counts.groups
+            pairs += counts.pairs
+        yield _class_stats(length, n_kept, groups, pairs, min_code_len,
+                           bound), frequent
+
+
+def _kt_groups(order: int, bound: float, max_len: int):
+    """Per length class 1..max_len: its lengths, per string its group's
+    number, and per group its first member, ascending.  Only the strings
+    within ``bound`` (kept) are grouped; the others' numbers mean nothing.
+
+    A string's signature is its prefix's plus one window: its prefix's
+    last ``order`` bits, which the prefix's group fixes (the end of the
+    path its windows trace from its head), and its last bit.  So a class's
+    kept strings fall into (prefix group, last bit) combinations of one
+    signature each (``_combinations``), and ``class_groups`` merges the
+    combinations of equal signature by their first members (``_merge``).
+    """
+    lengths = np.zeros(1)  # class 0: the empty string, its own group
+    group, n_groups = np.zeros(1, dtype=np.uint8), 1
+    for width in range(1, max_len + 1):
+        lengths, group, lead = _combinations(order, width, bound, lengths,
+                                             group, n_groups)
+        group, first = _merge(order, width, group, lead)
+        n_groups = len(first)
+        yield lengths, group, first
+
+
+def _combinations(order, width, bound, prev, parent, n_groups):
+    """The lengths of class ``width``, per kept string its (prefix group,
+    last bit) combination, and which kept strings come first in theirs,
+    from the previous class's lengths ``prev`` and group numbers
+    ``parent``, ``_CHUNK`` strings at a time.  A string's children cost at
+    least what it does, so the prefix of a kept string is kept.  Each
+    string keeps its number in the smallest unsigned type that holds it."""
+    lengths = np.empty(1 << width)
+    group = np.zeros(1 << width, dtype=np.min_scalar_type(2 * n_groups))
+    lead = np.zeros(1 << width, dtype=bool)
+    seen = np.zeros(2 * n_groups, dtype=bool)
+    for lo in range(0, 1 << width, _CHUNK):
+        values = np.arange(lo, min(lo + _CHUNK, 1 << width))
+        lengths[lo:lo + _CHUNK] = class_lengths(order, width, prev, values)
+        kept = values[lengths[lo:lo + _CHUNK] <= bound]
+        combo = 2 * parent[kept >> 1].astype(np.intp) + (kept & 1)
+        group[kept] = combo
+        combo, at = np.unique(combo, return_index=True)
+        lead[kept[at[~seen[combo]]]] = True
+        seen[combo] = True
+    return lengths, group, lead
+
+
+def _merge(order, width, group, lead):
+    """Per string its group's number, and per group its first member, from
+    the combinations ``group`` and the mask ``lead`` of their first
+    members."""
+    firsts = np.flatnonzero(lead).astype(np.int32)
+    merged, first = class_groups(order, width, firsts, _CHUNK)
+    combos = group[firsts]
+    number = np.zeros(int(combos.max(initial=0)) + 1, dtype=group.dtype)
+    number[combos] = merged
+    return number[group], firsts[first]
 
 
 def _kt_classes(backend: KTBackend, params, T, epsilon, bound, max_len):
     """``_classes`` for a KT backend, with no string per enumerated
-    pattern: each class's lengths come from the previous class's, and
-    ``support`` counts one string per signature group of a chunk's kept
-    strings, its first member, whose L(x) it would read for the whole
-    group.  Only frequent strings are formatted."""
-    order = backend.order
-    lengths = np.zeros(1)  # class 0, the empty string
-    for width in range(1, max_len + 1):
-        prev, lengths = lengths, np.empty(1 << width)
-        fmt, frequent = f"0{width}b", []
-        for lo in range(0, len(lengths), _CHUNK):
-            hi = min(lo + _CHUNK, len(lengths))
-            values = np.arange(lo, hi)
-            lengths[lo:hi] = class_lengths(order, width, prev, values)
-            kept = values[lengths[lo:hi] <= bound]  # the rest occur nowhere
-            if not len(kept):
-                continue
-            groups = class_groups(order, width, kept, lengths[kept])
-            reps = [format(v, fmt) for v in kept[groups.first].tolist()]
-            # one candidate per group: its first member
-            own = np.arange(len(reps))
-            counts = support(backend, params, T, reps,
-                             groups._replace(group=own, first=own))
-            n = counts.per_group[groups.group]
-            hit = n >= epsilon
-            frequent += zip([format(v, fmt) for v in kept[hit].tolist()],
-                            n[hit].tolist(), lengths[kept[hit]].tolist())
-        yield lengths.min(), frequent
+    pattern: each class's lengths and signature groups come from the
+    previous class's (``_kt_groups``), and ``support`` counts each group
+    once per class, by its first kept member, whose L(x) it reads for the
+    whole group, ``_CHUNK`` groups per call.  Only frequent strings are
+    formatted."""
+    # map, not a loop: no loop variable holds one class's arrays while the
+    # next class is built (3.6 MB of max RSS at order 5, 18 bits)
+    count = partial(_kt_count, backend, params, T, epsilon, bound)
+    return map(count, _kt_groups(backend.order, bound, max_len))
+
+
+def _kt_count(backend, params, T, epsilon, bound, classed):
+    """A class's ``ClassStats`` and frequent (x, count, L(x)), from its
+    lengths, group numbers and groups' first members."""
+    lengths, group, first = classed
+    width = len(lengths).bit_length() - 1
+    fmt = f"0{width}b"
+    counts = np.zeros(len(first), dtype=np.intp)
+    pairs = 0
+    for lo in range(0, len(first), _CHUNK):
+        reps = first[lo:lo + _CHUNK]
+        got = support(backend, params, T,
+                      [format(v, fmt) for v in reps.tolist()],
+                      class_bodies(backend.order, width, reps, lengths[reps]))
+        counts[lo:lo + _CHUNK], pairs = got.per_group, pairs + got.pairs
+    kept = lengths <= bound
+    frequent = []
+    if (counts >= epsilon).any():
+        hit = np.flatnonzero(kept & (counts >= epsilon)[group])
+        frequent = list(zip([format(v, fmt) for v in hit.tolist()],
+                            counts[group[hit]].tolist(),
+                            lengths[hit].tolist()))
+    return _class_stats(width, np.count_nonzero(kept), len(first), pairs,
+                        lengths.min(), bound), frequent

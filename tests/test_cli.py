@@ -203,6 +203,26 @@ class TestOracle:
         assert main([*argv, str(second)]) == 0
         assert read(second) == read(first)
 
+    def test_stats_side_file_leaves_result_bytes(self, tmp_path, capsys):
+        argv = ["oracle", DATASET, "--epsilon", "4", "--max-len", "10",
+                "--c1", "0.6", "--c2", "0.3"]
+        plain, out = tmp_path / "plain.txt", tmp_path / "result.txt"
+        stats = tmp_path / "stats.json"
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--out", str(out), "--stats", str(stats)]) == 0
+        assert read(out) == read(plain)
+        classes = json.loads(read(stats))
+        assert [r["width"] for r in classes] == list(range(1, 11))
+        assert set(classes[0]) == {"width", "strings", "kept", "groups",
+                                   "pairs", "min_code_len",
+                                   "termination_covered"}
+        # a diff writes them too, also one that finds a mismatch (the
+        # golden mine has an 11-bit pattern)
+        stats.unlink()
+        assert main([*argv, "--stats", str(stats),
+                     "--diff", str(FIXTURES / "mine7.golden.txt")]) == 2
+        assert json.loads(read(stats)) == classes
+
     def test_must_cover_termination_flag_is_data_error_here(self, capsys):
         assert main(["oracle", DATASET, "--epsilon", "4", "--max-len", "8",
                      "--c1", "0.6", "--c2", "0.3",
@@ -324,13 +344,15 @@ class TestFileErrors:
          "[Errno 2] No such file or directory: '{dir}/no'"),
         (["oracle", DATASET, "--epsilon", "4", "--out", "{dir}"],
          "[Errno 21] Is a directory: '{dir}'"),
+        (["oracle", DATASET, "--epsilon", "4", "--stats", "{dir}/"],
+         "[Errno 21] Is a directory: '{dir}/'"),
         (["ncd", DATASET, "--out", "{dir}/no/matrix.txt"],
          "[Errno 2] No such file or directory: '{dir}/no'"),
         (["oracle", DATASET, "--epsilon", "4", "--out",
           f"{DATASET}/result.txt"],
          f"[Errno 20] Not a directory: '{DATASET}'"),
-    ], ids=["mine-stats", "mine-out", "oracle-out", "ncd-out",
-            "oracle-out-in-a-file"])
+    ], ids=["mine-stats", "mine-out", "oracle-out", "oracle-stats",
+            "ncd-out", "oracle-out-in-a-file"])
     def test_unwritable_output_is_refused_before_any_input_is_read(
             self, tmp_path, capsys, monkeypatch, argv, error):
         def refuse(path):

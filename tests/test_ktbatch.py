@@ -7,8 +7,8 @@ import numpy as np
 
 from bitmine import KTBackend
 from bitmine import bits as bitutil
-from bitmine.ktbatch import (children, class_groups, class_lengths,
-                             code_level, groups, narrow, root)
+from bitmine.ktbatch import (children, class_bodies, class_groups,
+                             class_lengths, code_level, groups, narrow, root)
 
 ORDERS = [0, 1, 2, 3, 4, 5, 6, 9, 24]
 
@@ -40,8 +40,19 @@ def _check_groups(backend, strings, lengths, groups):
                for c in groups.body[1].tolist())
 
 
+def _class_groups(order, width, values, lengths, chunk):
+    # class_groups' partition of ``values``, with each group's body from
+    # its first member; ``lengths`` are the whole class's
+    group, first = class_groups(order, width, values, chunk)
+    reps = values[first]
+    bodies = class_bodies(order, width, reps, lengths[reps])
+    return bodies._replace(group=group, first=first)
+
+
 def test_class_coder_equals_the_walk():
-    # every string of 1-12 bits, each class coded from the one before
+    # every string of 1-12 bits, each class coded from the one before; the
+    # partition is built a range of whole heads at a time, of about 3 or
+    # 2,048 values
     for order in [0, 1, 2, 3, 4, 5, 6, 24]:
         backend = KTBackend(order)
         lengths = np.zeros(1)
@@ -50,13 +61,16 @@ def test_class_coder_equals_the_walk():
             strings = list(bitutil.all_of_length(width))
             lengths = class_lengths(order, width, lengths, values)
             assert lengths.tolist() == [backend.code_len(x) for x in strings]
-            _check_groups(backend, strings, lengths.tolist(),
-                          class_groups(order, width, values, lengths))
-            # the oracle groups the strings a chunk keeps: a sparse subset
+            # a sparse subset, as the oracle passes one string per
+            # combination
             kept = np.flatnonzero(lengths <= np.median(lengths))
-            _check_groups(backend, [strings[v] for v in kept.tolist()],
-                          lengths[kept].tolist(),
-                          class_groups(order, width, kept, lengths[kept]))
+            for part in (values, kept):
+                grouped = _class_groups(order, width, part, lengths, 2048)
+                _check_groups(backend, [strings[v] for v in part.tolist()],
+                              lengths[part].tolist(), grouped)
+                group, first = class_groups(order, width, part, 3)
+                assert group.tolist() == grouped.group.tolist()
+                assert first.tolist() == grouped.first.tolist()
 
 
 def _frontiers(order, widest):
@@ -120,9 +134,8 @@ def test_level_coder_on_long_patterns():
 
 def test_class_coder_memory_does_not_span_the_contexts():
     # order 24 has 2**25 context ids; the coder holds contexts as window
-    # values, never as an axis, so a chunk of 2,048 16-bit strings (every
-    # one its own signature group) stays within a bound a dense axis
-    # would break
+    # values, never as an axis, so 2,048 16-bit strings (every one its own
+    # signature group) are grouped within a bound a dense axis would break
     prev = np.zeros(1)
     for width in range(1, 16):
         prev = class_lengths(24, width, prev, np.arange(1 << width))
@@ -130,12 +143,13 @@ def test_class_coder_memory_does_not_span_the_contexts():
     tracemalloc.start()
     try:
         lengths = class_lengths(24, 16, prev, values)
-        groups = class_groups(24, 16, values, lengths)
+        group, first = class_groups(24, 16, values, 2048)
+        class_bodies(24, 16, values[first], lengths[first])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert lengths[0] == KTBackend(24).code_len(format(20_000, "016b"))
-    assert len(groups.first) == len(values)
+    assert len(first) == len(values)
     assert peak < 8 * 2 ** 20
 
 
