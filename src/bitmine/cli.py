@@ -232,8 +232,13 @@ def _cmd_oracle(args) -> int:
     oracle_config = OracleConfig(args.max_len, args.must_cover_termination)
     _check_outputs(args.out, args.stats)
     T = _load_transactions(args.input)
-    found = enumerate_frequent(backend, params, T, config.resolve_epsilon(len(T)),
-                               oracle_config)
+    try:
+        found = enumerate_frequent(backend, params, T,
+                                   config.resolve_epsilon(len(T)), oracle_config)
+    except IncompleteEnumerationError as exc:
+        # the classes enumerated still go to --stats
+        _write_stats(args.stats, exc.stats)
+        raise
     _write_stats(args.stats, found.stats)
 
     if args.diff is not None:

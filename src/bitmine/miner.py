@@ -8,12 +8,13 @@ parent's L(p), so L(x) is bit-identical to coding x from scratch.  For a
 ``KTBackend`` the frontier is count arrays (``ktbatch.Frontier``): one
 ``ktbatch.code_level`` call codes a whole level in numpy, and the kept
 children's count rows give their signature groups and, for the frequent
-ones, the next frontier.  Every other backend prices each candidate with
-``extend_cost`` from its parent's coder state, by the n new bits, and
-keeps one coder state per frequent pattern only.  Either way the
-prefilter is one test on the level's array of lengths.  The frontier
-keeps the transactions each pattern occurs in where the count reports
-them.
+ones, the next frontier.  The external adapter prices each candidate
+with ``extend_cost`` from its parent's coder state, by the n new bits, and
+keeps one coder state per frequent pattern only.  LZ codes all of a
+level's candidates from scratch at once, in numpy, with integer costs,
+and keeps no coder state.  Either way the prefilter is one test on the
+level's array of lengths.  The frontier keeps the transactions each
+pattern occurs in where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import bits as bitutil
 from . import ktbatch
-from .codelength import KTBackend
+from .codelength import KTBackend, LZBackend
 from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 MODES = ("sound", "heuristic")
@@ -212,8 +213,12 @@ def _state_level(backend, params, T, config, candidates, parents, level,
     gets the empty parent and all of its bits), so no candidate's state is
     built.  Only the frequent patterns' states are built, by one ``extend``
     each, and kept, so memory follows the frontier, not the candidates.
+    An ``LZBackend`` needs no state: ``code_strings`` prices all of its
+    candidates from scratch in numpy, and ``support`` parses each
+    transaction's phrase table, so its frontier's states are None.
     """
     cut = -config.step_bits
+    states = not isinstance(backend, LZBackend)
 
     def from_parent(x):
         state, length, _ = parents[x[:cut]]
@@ -222,7 +227,7 @@ def _state_level(backend, params, T, config, candidates, parents, level,
     def parent(x):
         return x[:cut], parents[x[:cut]][2]
 
-    coded = code_strings(backend, candidates, from_parent)
+    coded = code_strings(backend, candidates, from_parent if states else None)
     # the candidates are distinct, so ``coded`` lists them in their order
     kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
                          np.fromiter(coded.values(), float, len(coded)))
@@ -235,7 +240,8 @@ def _state_level(backend, params, T, config, candidates, parents, level,
     frontier = {}
     for p in frequent:
         x = p.pattern
-        state = backend.extend(parents[x[:cut]][0], x[cut:])[0]
+        state = (backend.extend(parents[x[:cut]][0], x[cut:])[0] if states
+                 else None)
         frontier[x] = (state, p.code_len, found.get(x))
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)

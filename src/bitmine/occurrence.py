@@ -25,20 +25,28 @@ the sequential path.
 Signature groups are a KT shortcut (the add-1/2 estimator is
 exchangeable): every other backend counts each distinct candidate as a
 group of its own, from its L(x) (``code_strings``, which prices it with
-``extend_cost`` and builds no coder state), with the sequential coder:
-LZ parent by parent, on the transactions where the parent occurs; the
-non-monotone external adapter on every transaction.
+``extend_cost`` and builds no coder state, or, for LZ, parses every
+candidate at once in numpy).  LZ is counted in numpy too, parent by
+parent, on the transactions where the parent occurs: each (parent,
+transaction) pair is parsed once, a bit column at a time over all pairs,
+from the transaction's phrase trie cached as a flat table, and each child
+from there (``_lz_support``, on the batch module ``lzbatch``).  LZ costs
+are integers, so its decisions equal those of ``frequency`` exactly.
+The sequential coder counts the rest (``_count_by_parent``): KT past the
+closed form's limits, parent by parent, and the non-monotone external
+adapter on every transaction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bits as bitutil
 from . import ktbatch
-from .codelength import EstimationError, KTBackend
+from .codelength import EstimationError, KTBackend, LZBackend
 
 VARIANTS = ("scale-free", "additive")
 
@@ -102,6 +110,7 @@ class _Coded:
     lengths: list   # L(y) per transaction
     states: list    # coder state after y per transaction
     kt: object = None  # _KTCounts, built by the first closed-form count
+    lz: object = None  # lzbatch.Tries, built by the first LZ count
 
 
 def _check_items(items):
@@ -195,8 +204,9 @@ class Support(dict):
     (group, transaction) pairs whose extra cost was evaluated.
     ``per_group`` holds each group's count as an intp array.
     ``occurrences`` maps each x to the ascending indices of the
-    transactions it occurs in when the count came from coder states, and
-    is None when it came from the KT closed form."""
+    transactions it occurs in when the count went parent by parent (the
+    coder or the LZ kernel), and is None when it came from the KT closed
+    form."""
     groups = 0
     pairs = 0
     per_group = None
@@ -208,7 +218,14 @@ def code_strings(backend, xs, start=None) -> dict:
     is built.  ``start`` maps x to (coder state after a prefix p of x,
     L(p), the rest of x), continuing L(p)'s running sum (default: the
     initial state), so L(x) is bit-identical to ``backend.code_len(x)``.
+    Without ``start`` an ``LZBackend`` prices every x at once, in numpy
+    (``lzbatch.lengths``); its costs are integers, so they are the same.
     """
+    if start is None and isinstance(backend, LZBackend):
+        from . import lzbatch  # loaded on first use: only LZ needs it
+
+        xs = list(xs)
+        return dict(zip(xs, map(float, lzbatch.lengths(xs).tolist())))
     root = backend.initial_state()
     coded = {}
     for x in xs:
@@ -235,10 +252,11 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     this is the one place that chooses the KT count path.  For every
     other backend each distinct candidate is a group of its own, and
     ``coded`` maps each x to L(x), as ``code_strings`` (the default)
-    returns it.  Every other backend (and KT past that order or size) is
-    counted parent by parent (``_count_by_parent``):
-    ``parent`` maps x to (p, occ), a prefix p of x and the transaction
-    indices where p occurs (None: every transaction).  With a monotone
+    returns it.  An ``LZBackend`` is counted in numpy (``_lz_support``),
+    every other backend (and KT past that order or size) by the coder
+    (``_count_by_parent``), both parent by parent: ``parent`` maps x to
+    (p, occ), a prefix p of x and the ascending transaction indices where
+    p occurs (None: every transaction).  With a monotone
     backend x can only occur where p does, so the transactions outside
     occ are skipped.  This is the one place that decides whether occ may
     prune: a non-monotone backend's ``parent`` is ignored, and every x is
@@ -264,6 +282,10 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
             and (2 << backend.order) * n_t <= _KT_TABLE_MAX):
         counts = _kt_support(backend, params, cache, coded, reps)
         found, pairs = None, len(reps) * n_t
+    elif isinstance(backend, LZBackend):
+        found, pairs = _lz_support(_limits(params, cache), cache, reps, lens,
+                                   parent)
+        counts = [len(ts) for ts in found]
     else:
         found, pairs = _count_by_parent(
             backend, _limits(params, cache), cache, reps, lens,
@@ -310,6 +332,25 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
                         found[g].append(t)
     except EstimationError as exc:
         raise EstimationError(f"transaction {t}: {exc}") from exc
+    return found, pairs
+
+
+def _lz_support(limits, coded: _Coded, xs, lens, parent):
+    """``_count_by_parent`` for ``LZBackend``, in numpy: the noise test on
+    the pairs and extra costs of ``lzbatch.extras``.  LZ costs are
+    integers, so an extra cost is at most a bound b exactly when it is at
+    most floor(b), and each test is decided as ``frequency`` decides it."""
+    from . import lzbatch  # loaded on first use: only LZ needs it
+
+    max_extra = np.array([math.floor(e) for _, e in limits], dtype=np.intp)
+    found = [[] for _ in xs]
+    pairs = 0
+    for g, t, extra in lzbatch.extras(limits, coded, xs, lens, parent):
+        pairs += len(g)
+        ok = np.flatnonzero(extra <= max_extra[t])
+        # a child's pairs come in order: its transactions ascend
+        for x, y in zip(g[ok].tolist(), t[ok].tolist()):
+            found[x].append(y)
     return found, pairs
 
 

@@ -12,8 +12,8 @@ plus one window, so a class's groups follow from the previous class's
 each string keeps only its group's number, and each signature is counted
 once per class, by its first kept member.  Only frequent strings are
 formatted.  Every other backend prices each string with
-``occurrence.code_strings`` (``extend_cost``, no coder state) and counts
-it on its own.  The result keeps the L(x) it coded (``Frequent.code_len``)
+``occurrence.code_strings`` (``extend_cost``, no coder state; LZ a chunk
+of strings at once, in numpy) and counts it on its own.  The result keeps the L(x) it coded (``Frequent.code_len``)
 for ``oracle --out``, and what each class did (``Frequent.stats``).
 Supports come from the same ``occurrence.support`` kernel the miner uses;
 that kernel is checked against the sequential ``occurrence.frequency`` in
@@ -43,7 +43,14 @@ MAX_LEN = 20
 
 
 class IncompleteEnumerationError(Exception):
-    """max_len provably does not cover the point where all patterns die out."""
+    """max_len provably does not cover the point where all patterns die out.
+
+    Carries ``stats``, the ``ClassStats`` of every length class enumerated.
+    """
+
+    def __init__(self, message: str, stats: list):
+        super().__init__(message)
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
         raise IncompleteEnumerationError(
             f"no length <= {config.max_len} has min code length above the "
             f"entropy-reduction bound {occur_bound:.3f}; enumeration may be "
-            "incomplete")
+            "incomplete", result.stats)
     return result
 
 

@@ -228,6 +228,18 @@ class TestOracle:
                      "--c1", "0.6", "--c2", "0.3",
                      "--must-cover-termination"]) == 2
 
+    def test_refused_enumeration_still_writes_stats(self, tmp_path, capsys):
+        # the classes enumerated before the refusal go to --stats, as the
+        # levels run before a refused level do for mine
+        stats = tmp_path / "stats.json"
+        assert main(["oracle", DATASET, "--epsilon", "4", "--max-len", "8",
+                     "--c1", "0.6", "--c2", "0.3", "--must-cover-termination",
+                     "--stats", str(stats)]) == 2
+        assert "enumeration may be incomplete" in capsys.readouterr().err
+        classes = json.loads(read(stats))
+        assert [r["width"] for r in classes] == list(range(1, 9))
+        assert not any(r["termination_covered"] for r in classes)
+
 
 class TestNcd:
     def test_golden_matrix(self, tmp_path):

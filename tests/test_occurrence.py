@@ -8,7 +8,7 @@ from bitmine import (EstimationError, ExternalBackend, KTBackend, LZBackend,
                      OccurrenceParams, PredicateError, TransactionSet,
                      code_len, frequency, gen_random, occurs, support)
 from bitmine import bits as bitutil
-from bitmine import occurrence
+from bitmine import lzbatch, occurrence
 
 from conftest import ZeroBackend, ktk_len_exact
 
@@ -333,3 +333,144 @@ def test_lz_support_counts_each_distinct_candidate_once(lz,
     assert counts.groups == 3
     assert counts == {x: frequency(lz, SCALE, T, x) for x in xs}
     assert len(set(counts.values())) > 1
+
+
+def _reads_own_phrase(state, bits):
+    """Does an LZ parse of ``bits`` after ``state`` walk into a phrase that
+    it added itself?"""
+    new, node, nxt, hit = {}, state.node, state.next_node, False
+    for ch in bits:
+        key = (node, ch)
+        child = state.trie.get(key)
+        if child is None and key in new:
+            child, hit = new[key], True
+        if child is None:
+            new[key], nxt, node = nxt, nxt + 1, 0
+        else:
+            node = child
+    return hit
+
+
+class TestLZKernel:
+    """``lzbatch.extras`` prices the live (child, transaction) pairs
+    of an LZ count in numpy; every extra cost must be the coder's,
+    ``extend_cost`` after ``extend(state_y, p)``, bit for bit."""
+
+    @staticmethod
+    def _check(items, xs, parents=None, params=SCALE):
+        # parents: {x: its parent p}, every transaction on p's list
+        lz = LZBackend()
+        T = TransactionSet(items)
+        coded = T.cached(lz)
+        lens = [lz.code_len(x) for x in xs]
+        limits = occurrence._limits(params, coded)
+        parent = None if parents is None else (lambda x: (parents[x], None))
+        priced = {}
+        for g, t, extra in lzbatch.extras(limits, coded, xs, lens, parent):
+            for i, y, e in zip(g.tolist(), t.tolist(), extra.tolist()):
+                x = xs[i]
+                p = "" if parents is None else parents[x]
+                state, extra_p = lz.extend(coded.states[y], p)
+                assert e == lz.extend_cost(state, x[len(p):], extra_p), (x, y)
+                assert e == lz.extend_cost(coded.states[y], x), (x, y)
+                assert (i, y) not in priced
+                priced[i, y] = e
+        # the live pairs: those where L(x) passes entropy reduction
+        assert set(priced) == {(i, y) for i in range(len(xs))
+                               for y in range(len(items))
+                               if lens[i] <= limits[y][0]}
+        return coded, priced
+
+    @pytest.mark.parametrize("block", [1 << 13, 5], ids=["default", "tiny"])
+    def test_a_pattern_walks_into_a_phrase_it_added(self, block, monkeypatch):
+        # after y = "0" the root has no 1-edge: "1" adds it, and the next
+        # "1" reads it, in the parent's parse or in the child's own
+        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", block)
+        items = ["0", "1", "0110", "0" * 40, "0110100110010110" * 3]
+        xs = [p + s for p in ("1", "11", "0101") for s in ("0", "1")]
+        xs = list(dict.fromkeys(xs + ["1011", "110110"]))
+        parents = {x: x[:-1] for x in xs}
+        coded, priced = self._check(items, xs, parents,
+                                    OccurrenceParams(c1=0.99, c2=0.5))
+        assert any(_reads_own_phrase(coded.states[y], xs[i])
+                   for i, y in priced)
+
+    def test_one_bit_transactions_lack_root_edges(self):
+        xs = ["0", "1", "00", "01", "10", "11", "0101", "1110"]
+        self._check(["0", "1"], xs, params=OccurrenceParams(
+            variant="additive", c3=0.5, c4=1.0))
+        self._check(["1", "0", "1"], xs, {x: x[:1] for x in xs},
+                    OccurrenceParams(variant="additive", c3=0.5, c4=1.0))
+
+    def test_a_16384_bit_transaction(self):
+        rng = random.Random(16384)
+        items = gen_random(2, (16384, 16384), 5).items + ["0110", "1" * 30]
+        parents = [random_bits(rng, 3, 9) for _ in range(6)]
+        xs = list(dict.fromkeys(p + random_bits(rng, 1, 4)
+                                for p in parents for _ in range(5)))
+        coded, priced = self._check(items, xs, {x: p for p in parents
+                                                for x in xs if x.startswith(p)})
+        assert {y for _, y in priced} >= {0, 1}
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_children_of_each_step(self, step, monkeypatch):
+        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", 40)
+        items = gen_random(9, (20, 60), 40 + step).items
+        rng = random.Random(step)
+        parents = [random_bits(rng, 2, 7) for _ in range(5)]
+        xs, of = [], {}
+        for p in dict.fromkeys(parents):
+            for s in bitutil.all_of_length(step):
+                xs.append(p + s)
+                of[p + s] = p
+        self._check(items, xs, of)
+        self._check(items, xs, of, ADDITIVE)
+
+    def test_seed_candidates_of_mixed_length(self):
+        # the seed level: every string of 1..4 bits, children of ""
+        xs = [x for n in range(1, 5) for x in bitutil.all_of_length(n)]
+        items = gen_random(8, (12, 40), 3).items
+        self._check(items, xs, {x: "" for x in xs})
+
+    def test_without_parents_as_the_oracle_counts(self):
+        # the oracle passes no parent lists: one empty parent, every
+        # transaction
+        xs = list(bitutil.all_of_length(7))
+        items = gen_random(6, (24, 24), 7).items
+        coded, priced = self._check(items, xs)
+        assert len(priced) == len(xs) * len(items)
+
+    @pytest.mark.parametrize("with_parents", [True, False])
+    def test_support_parses_no_pair_in_python(self, with_parents,
+                                              monkeypatch):
+        lz = LZBackend()
+        T = gen_random(10, (20, 40), 17)
+        parents = ["", "0", "1", "01", "110"]
+        xs = [p + s for p in parents for n in (1, 2)
+              for s in bitutil.all_of_length(n)]
+        occ = {p: [t for t, y in enumerate(T.items) if occurs(lz, SCALE, p, y)]
+               for p in parents if p}
+        occ[""] = None
+        of = {x: max((p for p in parents if x.startswith(p) and p != x),
+                     key=len) for x in xs}
+        expected = {x: frequency(lz, SCALE, T, x) for x in xs}
+        coded = occurrence.code_strings(lz, xs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was parsed in Python")
+
+        for name in ("extend", "extend_cost", "_parse"):
+            monkeypatch.setattr(LZBackend, name, refuse)
+        parent = (lambda x: (of[x], occ[of[x]])) if with_parents else None
+        counts = support(lz, SCALE, T, xs, coded, parent)
+        assert counts == expected
+        assert any(counts.values())
+
+    def test_lz_lengths_are_the_coder_lengths(self, monkeypatch):
+        # the numpy pricer parses each x from the initial state, in blocks
+        rng = random.Random(5)
+        xs = [random_bits(rng, 1, 300) for _ in range(40)] + ["0", "1"]
+        expected = {x: code_len(LZBackend(), x) for x in xs}
+        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(LZBackend, "extend_cost", None)
+        assert occurrence.code_strings(LZBackend(), xs) == expected

@@ -77,6 +77,17 @@ def test_must_cover_termination_fails_loudly(kt0, fixture_transactions):
                            OracleConfig(max_len=8, must_cover_termination=True))
 
 
+def test_refusal_carries_the_stats_of_the_classes_enumerated(
+        kt0, fixture_transactions):
+    found = enumerate_frequent(kt0, SCALE, fixture_transactions, 4,
+                               OracleConfig(max_len=8))
+    with pytest.raises(IncompleteEnumerationError) as refused:
+        enumerate_frequent(kt0, SCALE, fixture_transactions, 4,
+                           OracleConfig(max_len=8, must_cover_termination=True))
+    assert refused.value.stats == found.stats
+    assert len(found.stats) == 8
+
+
 def test_must_cover_termination_passes_when_covered(kt0):
     # tiny code lengths: every length-4 string already exceeds c1 * max L(y)
     T = TransactionSet(["0000000000"] * 3)

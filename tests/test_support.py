@@ -311,6 +311,23 @@ def test_miner_equals_oracle(order, params):
                                                   OracleConfig(max_len=12))
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 4])
+@pytest.mark.parametrize("params", [
+    OccurrenceParams(c1=0.6, c2=0.3),
+    OccurrenceParams(variant="additive", c3=6.0, c4=5.0)],
+    ids=["scale-free", "additive"])
+def test_lz_miner_equals_oracle_at_each_step(step, params):
+    # LZ counts in numpy, child by child on its parent's list; both sides
+    # stop at 12 bits: the miner after the level that reaches them
+    backend = LZBackend()
+    T = gen_random(10, (16, 24), 60 + step)
+    result = mine(backend, params, T, MiningConfig(
+        epsilon=3, step_bits=step, max_level=12 // step - 1))
+    assert len(result) > 10
+    assert result.as_dict() == enumerate_frequent(backend, params, T, 3,
+                                                  OracleConfig(max_len=12))
+
+
 @settings(max_examples=40, deadline=None)
 @given(backend=st.sampled_from(BACKENDS + [KTBackend(k) for k in (5, 8, 9, 24)]),
        params=params_strategy,
