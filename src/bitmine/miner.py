@@ -3,18 +3,19 @@
 Seeds with every frequent pattern of length 1..n, then repeatedly extends
 the surviving patterns by exactly n bits, counts candidate occurrences in a
 single pass over the transaction set, and prunes candidates below the
-support threshold.  A candidate is coded from its parent, continuing the
-parent's L(p), so L(x) is bit-identical to coding x from scratch.  For a
-``KTBackend`` the frontier is count arrays (``ktbatch.Frontier``): one
-``ktbatch.code_level`` call codes a whole level in numpy, and the kept
+support threshold.  One level function (``_run_level``) serves every
+backend, and no frontier keeps a coder state.  For a ``KTBackend`` the
+frontier is count arrays (``ktbatch.Frontier``): one ``ktbatch.code_level``
+call codes a whole level in numpy, each child continuing its parent's
+L(p), so L(x) is bit-identical to coding x from scratch, and the kept
 children's count rows give their signature groups and, for the frequent
-ones, the next frontier.  The external adapter prices each candidate
-with ``extend_cost`` from its parent's coder state, by the n new bits, and
-keeps one coder state per frequent pattern only.  LZ codes all of a
-level's candidates from scratch at once, in numpy, with integer costs,
-and keeps no coder state.  Either way the prefilter is one test on the
-level's array of lengths.  The frontier keeps the transactions each
-pattern occurs in where the count reports them.
+ones, the next frontier.  Every other backend prices its candidates from
+scratch with ``code_strings``: LZ all of a level's at once, in numpy,
+with integer costs, and the external adapter by one compressor run each
+(extending a parent's state would run it on all of the child's bits
+anyway).  Either way the prefilter is one test on the level's array of
+lengths.  The frontier keeps the transactions each pattern occurs in
+where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import bits as bitutil
 from . import ktbatch
-from .codelength import KTBackend, LZBackend
+from .codelength import KTBackend
 from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
 
 MODES = ("sound", "heuristic")
@@ -98,9 +99,10 @@ class LevelStats:
     kept: int        # left after the entropy-reduction prefilter
     groups: int      # groups counted: KT signature groups, else candidates
     # (group, transaction) pairs whose extra cost was evaluated: all of them
-    # under the KT closed form (orders up to 8, see ``support``); for LZ,
-    # and KT above order 8, only the pairs priced on the parent's
-    # occurrence list where L(x) passes entropy reduction
+    # under the KT closed form (orders up to 8, see ``support``); otherwise
+    # only those where L(x) passes entropy reduction, on the parent's
+    # occurrence list for LZ and KT above order 8, and on every transaction
+    # for the external adapter, which is not monotone
     pairs: int
     frequent: int
     seconds: float   # wall time of the whole level
@@ -155,94 +157,50 @@ def _run_level(backend, params, T, config, candidates, parents, level, start):
 
     Each candidate is a pattern of the frontier ``parents`` followed by
     ``step_bits`` bits, pattern by pattern, as ``generate`` lists them; the
-    seed candidates are the children of the empty pattern.  Returns the
-    frequent patterns, the frontier for the next level (in the same form)
-    and the level's ``LevelStats``.  Each candidate's parent and its
-    occurrence list (None, from the KT closed form, stands for every
-    transaction) go to ``support``, which alone decides whether the list
-    may prune.  For the external adapter it never may, so that backend's
-    frontier keeps exact occurrence lists that nothing reads.
+    seed candidates are the children of the empty pattern.  The frontier is
+    (coder, {pattern: its occurrence list or None}, in frontier order),
+    where ``coder`` is the patterns' ``ktbatch.Frontier`` for a KT backend
+    and None for every other; no coder state is built.  Returns the frequent
+    patterns, the next frontier and the level's ``LevelStats``.  Each
+    candidate's parent and its occurrence list (None, from the KT closed
+    form, stands for every transaction) go to ``support``, which alone
+    decides whether the list may prune.  For the external adapter it never
+    may, so that backend's frontier keeps exact occurrence lists that
+    nothing reads.
     """
-    code = _kt_level if isinstance(backend, KTBackend) else _state_level
-    return code(backend, params, T, config, candidates, parents, level, start)
-
-
-def _kt_level(backend, params, T, config, candidates, parents, level, start):
-    """``_run_level`` for a KT backend, whose frontier is (its
-    ``ktbatch.Frontier``, {pattern: its occurrence list or None}, in
-    frontier order).  One ``ktbatch.code_level`` call codes the whole level
-    from the parents' counts, and the kept children's count rows give both
-    their signature groups and the next frontier, so no coder state is
-    built."""
-    frontier, occurs_in = parents
-    first = len(next(iter(occurs_in)))  # its children come first
-    coded = ktbatch.code_level(
-        backend.order, frontier,
-        [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
-    kept_at = _prefilter(backend, params, candidates,
-                         T.max_code_len(backend), coded.length)
+    coder, occurs_in = parents
+    if coder is None:
+        coded = code_strings(backend, candidates)
+        # the candidates are distinct, so ``coded`` lists them in their order
+        lengths = np.fromiter(coded.values(), float, len(coded))
+    else:
+        first = len(next(iter(occurs_in)))  # its children come first
+        level_coded = ktbatch.code_level(
+            backend.order, coder,
+            [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
+        lengths = level_coded.length
+    kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
+                         lengths)
     kept = [candidates[i] for i in kept_at.tolist()]
-    children = ktbatch.children(coded, kept_at)
+    if coder is not None:
+        children = ktbatch.children(level_coded, kept_at)
+        coded = ktbatch.groups(children)
 
     def parent(x):
         p = x[:-config.step_bits]
         return p, occurs_in[p]
 
-    groups = ktbatch.groups(children)
-    counts = _count_pass(backend, params, T, kept, groups, parent)
+    counts = _count_pass(backend, params, T, kept, coded, parent)
     eps = config.resolve_epsilon(len(T))
-    n = counts.per_group[groups.group]
+    n = np.fromiter(counts.values(), np.intp, len(counts))  # in kept order
     chosen = sorted(np.flatnonzero(n >= eps).tolist(), key=kept.__getitem__)
     frequent = [FrequentPattern(kept[i], c, length, level) for i, c, length
                 in zip(chosen, n[chosen].tolist(),
-                       children.length[chosen].tolist())]
+                       lengths[kept_at[chosen]].tolist())]
+    if coder is not None:
+        coder = ktbatch.narrow(children, np.array(chosen, dtype=np.intp))
     found = counts.occurrences or {}
-    frontier = (ktbatch.narrow(children, np.array(chosen, dtype=np.intp)),
-                {p.pattern: found.get(p.pattern) for p in frequent})
-    stats = LevelStats(level, len(candidates), len(kept), counts.groups,
-                       counts.pairs, len(frequent), time.perf_counter() - start)
-    return frequent, frontier, stats
-
-
-def _state_level(backend, params, T, config, candidates, parents, level,
-                 start):
-    """``_run_level`` for every other backend, whose frontier maps each
-    pattern to (its coder state, its L, its occurrence list or None).  A
-    candidate is priced with ``extend_cost`` from its parent's state by its
-    last ``step_bits`` bits (a seed candidate, at most ``step_bits`` long,
-    gets the empty parent and all of its bits), so no candidate's state is
-    built.  Only the frequent patterns' states are built, by one ``extend``
-    each, and kept, so memory follows the frontier, not the candidates.
-    An ``LZBackend`` needs no state: ``code_strings`` prices all of its
-    candidates from scratch in numpy, and ``support`` parses each
-    transaction's phrase table, so its frontier's states are None.
-    """
-    cut = -config.step_bits
-    states = not isinstance(backend, LZBackend)
-
-    def from_parent(x):
-        state, length, _ = parents[x[:cut]]
-        return state, length, x[cut:]
-
-    def parent(x):
-        return x[:cut], parents[x[:cut]][2]
-
-    coded = code_strings(backend, candidates, from_parent if states else None)
-    # the candidates are distinct, so ``coded`` lists them in their order
-    kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
-                         np.fromiter(coded.values(), float, len(coded)))
-    kept = [candidates[i] for i in kept_at.tolist()]
-    counts = _count_pass(backend, params, T, kept, coded, parent)
-    eps = config.resolve_epsilon(len(T))
-    frequent = [FrequentPattern(x, c, coded[x], level)
-                for x, c in sorted(counts.items()) if c >= eps]
-    found = counts.occurrences or {}
-    frontier = {}
-    for p in frequent:
-        x = p.pattern
-        state = (backend.extend(parents[x[:cut]][0], x[cut:])[0] if states
-                 else None)
-        frontier[x] = (state, p.code_len, found.get(x))
+    frontier = (coder, {p.pattern: found.get(p.pattern) for p in frequent})
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)
     return frequent, frontier, stats
@@ -258,10 +216,8 @@ def _seed(backend, params, T, config):
     candidates = []
     for length in range(1, config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
-    if isinstance(backend, KTBackend):
-        root = (ktbatch.root(), {"": None})
-    else:
-        root = {"": (backend.initial_state(), 0.0, None)}
+    root = (ktbatch.root() if isinstance(backend, KTBackend) else None,
+            {"": None})
     return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 

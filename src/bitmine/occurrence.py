@@ -24,9 +24,9 @@ It does so only up to order ``_KT_MAX_ORDER`` and while a table of
 the sequential path.
 Signature groups are a KT shortcut (the add-1/2 estimator is
 exchangeable): every other backend counts each distinct candidate as a
-group of its own, from its L(x) (``code_strings``, which prices it with
-``extend_cost`` and builds no coder state, or, for LZ, parses every
-candidate at once in numpy).  LZ is counted in numpy too, parent by
+group of its own, from its L(x) (``code_strings``, which prices it from
+scratch with ``code_len`` and builds no coder state, or, for LZ, parses
+every candidate at once in numpy).  LZ is counted in numpy too, parent by
 parent, on the transactions where the parent occurs: each (parent,
 transaction) pair is parsed once, a bit column at a time over all pairs,
 from the transaction's phrase trie cached as a flat table, and each child
@@ -213,25 +213,18 @@ class Support(dict):
     occurrences = None
 
 
-def code_strings(backend, xs, start=None) -> dict:
-    """{x: L(x)}, each x priced once by ``extend_cost``, so no coder state
-    is built.  ``start`` maps x to (coder state after a prefix p of x,
-    L(p), the rest of x), continuing L(p)'s running sum (default: the
-    initial state), so L(x) is bit-identical to ``backend.code_len(x)``.
-    Without ``start`` an ``LZBackend`` prices every x at once, in numpy
-    (``lzbatch.lengths``); its costs are integers, so they are the same.
+def code_strings(backend, xs) -> dict:
+    """{x: L(x)}, each x priced once, from scratch, by ``backend.code_len``,
+    so no coder state is built.  An ``LZBackend`` prices every x at once
+    instead, in numpy (``lzbatch.lengths``); its costs are integers, so
+    they are the same floats.
     """
-    if start is None and isinstance(backend, LZBackend):
+    if isinstance(backend, LZBackend):
         from . import lzbatch  # loaded on first use: only LZ needs it
 
         xs = list(xs)
         return dict(zip(xs, map(float, lzbatch.lengths(xs).tolist())))
-    root = backend.initial_state()
-    coded = {}
-    for x in xs:
-        state, cost, rest = (root, 0.0, x) if start is None else start(x)
-        coded[x] = backend.extend_cost(state, rest, cost)
-    return coded
+    return {x: backend.code_len(x) for x in xs}
 
 
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,

@@ -12,7 +12,7 @@ plus one window, so a class's groups follow from the previous class's
 each string keeps only its group's number, and each signature is counted
 once per class, by its first kept member.  Only frequent strings are
 formatted.  Every other backend prices each string with
-``occurrence.code_strings`` (``extend_cost``, no coder state; LZ a chunk
+``occurrence.code_strings`` (``code_len``, no coder state; LZ a chunk
 of strings at once, in numpy) and counts it on its own.  The result keeps the L(x) it coded (``Frequent.code_len``)
 for ``oracle --out``, and what each class did (``Frequent.stats``).
 Supports come from the same ``occurrence.support`` kernel the miner uses;

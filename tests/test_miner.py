@@ -221,8 +221,8 @@ class TestMine:
             assert p.count == frequency(backend, SCALE, T, p.pattern)
 
     def test_heuristic_external_codes_each_string_once(self, monkeypatch):
-        # One compressor call per transaction, per candidate coded, per
-        # (candidate, transaction) pair priced and per frontier state.
+        # One compressor call per transaction, per candidate coded and per
+        # (candidate, transaction) pair priced; none builds a coder state.
         backend = ExternalBackend("cat")
         calls = []
         real = backend.code_len
@@ -238,8 +238,30 @@ class TestMine:
                        MiningConfig(epsilon=2, step_bits=1, mode="heuristic",
                                     max_level=2))
         assert res.levels == 2 and len(res) > 0
-        assert len(calls) <= len(T) + sum(s.candidates + s.pairs + s.frequent
+        assert len(calls) == len(T) + sum(s.candidates + s.pairs
                                           for s in res.stats)
+
+    @pytest.mark.parametrize("backend, mode", [
+        (KTBackend(2), "sound"), (LZBackend(), "sound"),
+        (ExternalBackend("cat"), "heuristic")], ids=["kt2", "lz", "external"])
+    def test_mining_builds_no_coder_state(self, backend, mode, monkeypatch):
+        # Once T's own states are cached, no level extends a coder state:
+        # every candidate is priced from scratch or from count arrays.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coder state was built")
+
+        T = gen_random(5, (24, 40), 11)
+        config = MiningConfig(epsilon=2, step_bits=1, max_level=3, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = mine(backend, SCALE, T, config)
+            T.cached(backend)
+            monkeypatch.setattr(type(backend), "extend", refuse)
+            res = mine(backend, SCALE, T, config)
+        assert res.levels >= 2 and len(res) > 0
+        assert res.patterns == expected.patterns
+        assert res.levels == expected.levels
+        assert res.truncated == expected.truncated
 
     def test_level_over_the_candidate_cap_is_refused(self, kt0,
                                                      fixture_transactions,

@@ -305,14 +305,8 @@ def test_estimation_error_names_the_transaction(count, monkeypatch):
     KTBackend(2), LZBackend(), ExternalBackend("cat")],
     ids=["kt2", "lz", "external"])
 def test_candidates_are_priced_without_a_coder_state(backend, monkeypatch):
-    # code_strings prices each x with extend_cost alone, from the initial
-    # state or continuing a prefix's state and length
+    # code_strings prices each x from scratch and builds no coder state
     xs = ["0", "1", "0110", "1101001", "011010011"]
-    prefix = {x: backend.extend(backend.initial_state(), x[:2]) for x in xs}
-
-    def start(x):
-        state, length = prefix[x]
-        return state, length, x[2:]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coder state was built")
@@ -321,7 +315,6 @@ def test_candidates_are_priced_without_a_coder_state(backend, monkeypatch):
     for name in ("extend", "signature"):
         monkeypatch.setattr(type(backend), name, refuse, raising=False)
     assert occurrence.code_strings(backend, xs) == expected
-    assert occurrence.code_strings(backend, xs, start) == expected
 
 
 def test_lz_support_counts_each_distinct_candidate_once(lz,
