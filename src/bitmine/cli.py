@@ -15,6 +15,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 
 from . import textio
 from .codelength import EstimationError, make_backend
@@ -197,14 +198,18 @@ def _cmd_mine(args) -> int:
                           mode=args.mode)
     _check_outputs(args.out, args.stats)
     T = _load_transactions(args.input)
-    try:
-        result = mine(backend, params, T, config)
-    except LevelCapError as exc:
-        # the levels run, then the refused one, still go to --stats
-        refused = {"level": exc.level, "candidates": exc.size,
-                   "cap": exc.cap, "refused": True}
-        _write_stats(args.stats, exc.stats, refused)
-        raise
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = mine(backend, params, T, config)
+        except LevelCapError as exc:
+            # the levels run, then the refused one, still go to --stats
+            refused = {"level": exc.level, "candidates": exc.size,
+                       "cap": exc.cap, "refused": True}
+            _write_stats(args.stats, exc.stats, refused)
+            raise
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     header = _backend_header(args)
     header.update(_threshold_header(args))
     header.update(epsilon=args.epsilon, step_bits=args.step_bits,

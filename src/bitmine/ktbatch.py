@@ -21,25 +21,25 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
   combination, so ``oracle.enumerate_frequent`` counts each signature once
   per class; ``class_bodies`` gives the counted strings' bodies.
 - The level coder codes a whole level of the KT miner.  A ``Frontier``
-  keeps no coder state: per pattern its L(p), its tail (the coder context
-  after it), its head (its first ``order`` bits) and its count row, the
-  (zeros, ones) of each full-length context in it; a shorter context
+  keeps no coder state: per pattern its L(p), its head (first ``order``
+  bits), its count row (the (zeros, ones) of each full-length context in
+  it) and its tail (the coder context after it); a shorter context
   occurs only at its own position, within the head, so it needs no
   count.  A child's steps depend only on its parent's tail and its
-  suffix, so ``code_level`` plans each distinct (tail, suffix) once and
-  adds each child's steps to its parent's L(p), a column at a time.
-  ``children`` adds each plan's counts to its parent's row, ``groups``
+  suffix, so ``code_level`` plans each distinct (tail, suffix) once; a
+  child's L(x) and row, in the ``Frontier`` it returns, are its parent's
+  plus its plan's steps (a column at a time) and counts.  ``groups``
   partitions the rows by (head, row), and ``narrow`` keeps the frequent
   children as the next frontier.  Rows are sparse, so memory follows the
   contexts that occur, not the 2**order that may.
 - ``Groups`` is the one form in which the KT closed form
-  (``occurrence.support``) takes signature groups, as count arrays:
-  ``class_bodies`` gives it for the oracle, ``groups`` for each level of
-  the miner, and ``string_groups`` for plain strings.  ``head_steps``
-  gives the closed form each head's steps after each transaction's tail
-  from integer windows, with no walk, and ``context_ids`` names contexts
-  by integers below 2 << order, the rows of the closed form's count
-  tables (orders up to ``occurrence._KT_MAX_ORDER``).
+  (``occurrence.support``) takes signature groups: the partition and its
+  first members as a ``Frontier`` with no tails, from ``class_bodies``
+  (the oracle), ``groups`` (the miner) or ``string_groups`` (plain
+  strings).  ``head_steps`` gives the closed form each head's steps after
+  each transaction's tail from integer windows, with no walk, and
+  ``context_ids`` names contexts by integers below 2 << order, the rows of
+  the closed form's count tables (orders up to ``occurrence._KT_MAX_ORDER``).
 """
 
 from __future__ import annotations
@@ -343,8 +343,6 @@ def class_lengths(order: int, width: int, prev: np.ndarray,
     return prev[values >> 1] + (total[n] - count[c])
 
 
-
-
 class Groups(NamedTuple):
     """Signature groups of KT-coded strings, in the one form the KT closed
     form (``occurrence.support``) takes from every producer.  A group is
@@ -353,11 +351,7 @@ class Groups(NamedTuple):
     ``signature``'s partition (shorter contexts lie within the head)."""
     group: np.ndarray   # per string, its group, numbered by first member
     first: np.ndarray   # per group, the index of its first member
-    length: np.ndarray  # per group, L(x) of its members
-    head: np.ndarray    # per group, its head, as an index into ``names``
-    body: np.ndarray    # (group, context, zeros, ones) per full-length
-                        # context of a group, by group; contexts index ``names``
-    names: list         # the strings that ``head`` and ``body`` index
+    reps: Frontier      # the groups' first members, in group order, no tails
 
 
 def _pack(columns: np.ndarray, bits: int) -> list:
@@ -441,7 +435,7 @@ def class_bodies(order: int, width: int, values: np.ndarray,
                  lengths: np.ndarray) -> Groups:
     """``Groups`` of ``width``-bit strings of pairwise distinct signatures,
     each its own group, as ``class_groups``'s first members are, with
-    lengths ``lengths``.  A group's body is read off its string's sorted
+    lengths ``lengths``.  A string's count row is read off its sorted
     windows: each run of one context gives its zeros and ones."""
     heads, rows = _windows(order, width, values)
     own = np.arange(len(values))
@@ -458,7 +452,7 @@ def class_bodies(order: int, width: int, values: np.ndarray,
         names += [_bits(v, order) for v in contexts.tolist()]
         body[:] = (at // ctx.shape[1], context + len(heads),
                    np.diff(at, append=ctx.size) - ones, ones)
-    return Groups(own, own, lengths, head_of, body, names)
+    return Groups(own, own, Frontier(names, lengths, head_of, body))
 
 
 # Largest (head, tail, step) block ``head_steps`` builds at once.
@@ -521,32 +515,20 @@ def head_steps(order: int, tails: list, heads: list):
 
 class Frontier(NamedTuple):
     """KT patterns as the level coder keeps them, with no coder state."""
-    names: list         # the strings that tail, head and rows' contexts index
+    names: list         # the strings that head, rows' contexts and tail index
     length: np.ndarray  # per pattern, L(p)
-    tail: np.ndarray    # per pattern, its last ``order`` bits (all, if fewer)
     head: np.ndarray    # per pattern, its first ``order`` bits (all, if fewer)
     rows: np.ndarray    # (pattern, context, zeros, ones) per full-length
                         # context of a pattern, by pattern, then context
+    tail: np.ndarray = None  # per pattern, its last ``order`` bits (all, if
+                             # fewer); None where nothing extends them
 
 
 def root() -> Frontier:
     """The frontier of the empty string alone."""
     zero = np.zeros(1, dtype=np.intp)
-    return Frontier([""], np.zeros(1), zero, zero,
-                    np.zeros((4, 0), dtype=np.intp))
-
-
-class Level(NamedTuple):
-    """The children of a frontier, each pattern followed by each suffix,
-    pattern by pattern."""
-    frontier: Frontier
-    names: list          # the frontier's names, then those the plans added
-    length: np.ndarray   # per child, L(x)
-    plan: np.ndarray     # per child, its plan
-    tail: np.ndarray     # per plan, the tail after it
-    head: np.ndarray     # per plan, the child's head, or -1: the parent's
-    inc: np.ndarray      # (plan, context, zeros, ones) per full-length
-                         # context of a plan's steps, by plan, then context
+    return Frontier([""], np.zeros(1), zero, np.zeros((4, 0), dtype=np.intp),
+                    zero)
 
 
 def _plan(order: int, tail: str, bits: str, width: int, intern) -> tuple:
@@ -581,15 +563,16 @@ def _plan(order: int, tail: str, bits: str, width: int, intern) -> tuple:
 _LEVEL_TERMS = tuple(_terms(1 << 10))
 
 
-def code_level(order: int, frontier: Frontier, suffixes: list) -> Level:
-    """Code every child of ``frontier``, each pattern followed by each of
+def code_level(order: int, frontier: Frontier, suffixes: list) -> Frontier:
+    """The children of ``frontier``, each pattern followed by each of
     ``suffixes`` (pattern by pattern), each L(x) ``==`` ``code_len(x)``.
 
     A child's L(x) continues its parent's L(p) step by step, in the
     walk's order, as ``L + (total[n] - count[c])``: n and c are the
     parent's counts of the step's context (and bit) plus the plan's
     earlier steps.  A head step reads n = c = 0, and a padded step (past
-    a shorter suffix) adds nothing.
+    a shorter suffix) adds nothing.  A child's row is its parent's plus
+    its plan's counts.
     """
     names = list(frontier.names)
     index = {name: i for i, name in enumerate(names)}
@@ -606,10 +589,6 @@ def code_level(order: int, frontier: Frontier, suffixes: list) -> Level:
     plans = [_plan(order, names[t], s, width, intern)
              for t in tails.tolist() for s in suffixes]
     steps, tail, head, incs = zip(*plans)
-    inc = np.array([(p, ctx, *counts) for p, of in enumerate(incs)
-                    for ctx, counts in sorted(of.items())],
-                   dtype=np.intp).reshape(-1, 4).T
-
     n_suffix = len(suffixes)
     plan = (rank[frontier.tail, None] * n_suffix
             + np.arange(n_suffix)).ravel()
@@ -632,37 +611,33 @@ def code_level(order: int, frontier: Frontier, suffixes: list) -> Level:
     length = frontier.length[parent]
     for j in range(width):
         length += step[:, j]
-    return Level(frontier, names, length, plan, np.array(tail, dtype=np.intp),
-                 np.array(head, dtype=np.intp), inc)
-
-
-def children(level: Level, keep: np.ndarray) -> Frontier:
-    """The children ``keep`` (ascending) of a coded level as a frontier:
-    each one's row is its parent's plus its plan's counts."""
-    frontier = level.frontier
-    n_suffix = len(level.length) // len(frontier.length)
-    parent, plan = keep // n_suffix, level.plan[keep]
+    # free the steps before the rows are built, to bound the peak memory
+    del context, seen, seen_bit, bit, want, at, hit, zeros, ones, n, step
+    inc = np.array([(p, ctx, *counts) for p, of in enumerate(incs)
+                    for ctx, counts in sorted(of.items())],
+                   dtype=np.intp).reshape(-1, 4).T
     child, at = _spans(np.searchsorted(frontier.rows[0],
                                        np.arange(len(frontier.length) + 1)),
                        parent)
     rows = frontier.rows[:, at]
     rows[0] = child
-    child, at = _spans(np.searchsorted(level.inc[0],
-                                       np.arange(len(level.tail) + 1)), plan)
-    inc = level.inc[:, at]
+    child, at = _spans(np.searchsorted(inc[0], np.arange(len(plans) + 1)),
+                       plan)
+    inc = inc[:, at]
     inc[0] = child
     # each plan count adds to its child's entry for its context, or is
     # inserted where that entry would be, keeping the rows sorted
-    base = len(level.names)
+    base = len(names)
     keys = np.append(rows[0] * base + rows[1], -1)
     want = inc[0] * base + inc[1]
     at = np.searchsorted(keys[:-1], want)
     new = keys[at] != want
     rows[2:, at[~new]] += inc[2:, ~new]
     rows = np.insert(rows, at[new], inc[:, new], axis=1)
-    head = level.head[plan]
-    return Frontier(level.names, level.length[keep], level.tail[plan],
-                    np.where(head < 0, frontier.head[parent], head), rows)
+    head = np.array(head, dtype=np.intp)[plan]
+    return Frontier(names, length,
+                    np.where(head < 0, frontier.head[parent], head), rows,
+                    np.array(tail, dtype=np.intp)[plan])
 
 
 def narrow(frontier: Frontier, keep: np.ndarray) -> Frontier:
@@ -678,25 +653,20 @@ def narrow(frontier: Frontier, keep: np.ndarray) -> Frontier:
                            len(frontier.names))
     rows[1] = rank[rows[1]]
     return Frontier([frontier.names[i] for i in used.tolist()],
-                    frontier.length[keep], rank[tail], rank[head], rows)
+                    frontier.length[keep], rank[head], rows, rank[tail])
 
 
 def groups(frontier: Frontier) -> Groups:
     """The signature groups of a frontier's patterns, equal (head, row),
-    in the closed form's form; each group's body is its first member's
-    row."""
+    in the closed form's form; each group's first member keeps its row."""
     member, ctx, zeros, ones = frontier.rows
     n = len(frontier.length)
-    if not n:
-        empty = np.zeros(0, dtype=np.intp)
-        return Groups(empty, empty, frontier.length, empty, frontier.rows,
-                      frontier.names)
     # each row's (context, zeros, ones) codes, one column per member,
     # padded with 0, then packed
     size = np.bincount(member, minlength=n)
     span = int(max(zeros.max(initial=0), ones.max(initial=0))) + 1
     code = (ctx * span + zeros) * span + ones + 1
-    grid = np.zeros((size.max(), n), dtype=np.intp)
+    grid = np.zeros((size.max(initial=0), n), dtype=np.intp)
     grid[np.arange(len(member)) - (np.cumsum(size) - size)[member],
          member] = code
     group, first = _partition([frontier.head, *_pack(
@@ -705,12 +675,11 @@ def groups(frontier: Frontier) -> Groups:
     number[first] = np.arange(len(first))
     body = frontier.rows[:, number[member] >= 0]
     body[0] = number[body[0]]
-    return Groups(group, first, frontier.length[first], frontier.head[first],
-                  body, frontier.names)
+    return Groups(group, first, Frontier(
+        frontier.names, frontier.length[first], frontier.head[first], body))
 
 
 def string_groups(order: int, strings: list) -> Groups:
     """The signature groups, with L(x), of plain strings, each coded as a
     child of the empty string."""
-    level = code_level(order, root(), strings)
-    return groups(children(level, np.arange(len(strings))))
+    return groups(code_level(order, root(), strings))

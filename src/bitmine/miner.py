@@ -6,16 +6,16 @@ single pass over the transaction set, and prunes candidates below the
 support threshold.  One level function (``_run_level``) serves every
 backend, and no frontier keeps a coder state.  For a ``KTBackend`` the
 frontier is count arrays (``ktbatch.Frontier``): one ``ktbatch.code_level``
-call codes a whole level in numpy, each child continuing its parent's
-L(p), so L(x) is bit-identical to coding x from scratch, and the kept
-children's count rows give their signature groups and, for the frequent
-ones, the next frontier.  Every other backend prices its candidates from
-scratch with ``code_strings``: LZ all of a level's at once, in numpy,
-with integer costs, and the external adapter by one compressor run each
-(extending a parent's state would run it on all of the child's bits
-anyway).  Either way the prefilter is one test on the level's array of
-lengths.  The frontier keeps the transactions each pattern occurs in
-where the count reports them.
+call codes a whole level's children in numpy, each continuing its
+parent's L(p) and count row, so L(x) is bit-identical to coding x from
+scratch; the kept children's rows give their signature groups, and the
+frequent ones are the next frontier.  Every other backend prices its
+candidates from scratch with ``code_strings``: LZ all of a level's at
+once, in numpy, with integer costs, and the external adapter by one
+compressor run each (extending a parent's state would run it on all of
+the child's bits anyway).  Either way the prefilter is one test on the
+level's array of lengths.  The frontier keeps the transactions each
+pattern occurs in where the count reports them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -175,15 +175,16 @@ def _run_level(backend, params, T, config, candidates, parents, level, start):
         lengths = np.fromiter(coded.values(), float, len(coded))
     else:
         first = len(next(iter(occurs_in)))  # its children come first
-        level_coded = ktbatch.code_level(
+        children = ktbatch.code_level(
             backend.order, coder,
             [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
-        lengths = level_coded.length
+        lengths = children.length
     kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
                          lengths)
     kept = [candidates[i] for i in kept_at.tolist()]
     if coder is not None:
-        children = ktbatch.children(level_coded, kept_at)
+        if len(kept) < len(candidates):  # else narrowing only costs time
+            children = ktbatch.narrow(children, kept_at)
         coded = ktbatch.groups(children)
 
     def parent(x):

@@ -13,7 +13,7 @@ additive form.  All inequalities are non-strict.
 
 ``frequency`` is the definitional count: one sequential coder call per
 transaction.  ``support`` counts many candidates at once.  For the KT
-backend it takes their signature groups as count arrays
+backend it takes their signature groups and first members' count rows
 (``ktbatch.Groups``, from the miner's level coder, the oracle's class
 coder, or ``ktbatch.string_groups`` for plain strings), evaluates
 L(y||x) - L(y) in closed form with numpy and hands every pair within
@@ -263,7 +263,7 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
                  else code_strings(backend, candidates))
     if kt:
         reps = [candidates[i] for i in coded.first.tolist()]
-        group, lens = coded.group, coded.length.tolist()
+        group, lens = coded.group, coded.reps.length.tolist()
     else:
         number = {}
         group = [number.setdefault(x, len(number)) for x in candidates]
@@ -273,7 +273,7 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     n_t = len(cache.items)
     if (kt and reps and n_t and backend.order <= _KT_MAX_ORDER
             and (2 << backend.order) * n_t <= _KT_TABLE_MAX):
-        counts = _kt_support(backend, params, cache, coded, reps)
+        counts = _kt_support(backend, params, cache, coded.reps, reps)
         found, pairs = None, len(reps) * n_t
     elif isinstance(backend, LZBackend):
         found, pairs = _lz_support(_limits(params, cache), cache, reps, lens,
@@ -373,9 +373,9 @@ def _kt_counts(coded: _Coded, order: int):
     return coded.kt
 
 
-def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
-    """Closed-form counts of signature groups (``ktbatch.Groups``, whose
-    first members are ``reps``).
+def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
+    """Closed-form counts of signature groups, from their first members
+    ``reps`` and their ``ktbatch.Frontier`` ``firsts`` (``Groups.reps``).
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
@@ -390,21 +390,21 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
     lengths = np.asarray(coded.lengths)
     n_t = len(coded.states)
     max_x = max(map(len, reps))
-    names = groups.names
+    names = firsts.names
 
     # Columns are the contexts any group touches, by id: those of the
     # groups' bodies (full length) and of their heads' steps after every
     # tail, which depend on y only through its tail.
-    heads, rank = ktbatch._distinct(groups.head, len(names))
-    group_head = rank[groups.head]
+    heads, rank = ktbatch._distinct(firsts.head, len(names))
+    group_head = rank[firsts.head]
     tail, head_ids, bit, head_starts = ktbatch.head_steps(
         k, kt.tails, [names[h] for h in heads.tolist()])
-    contexts, rank = ktbatch._distinct(groups.body[1], len(names))
+    contexts, rank = ktbatch._distinct(firsts.rows[1], len(names))
     body_ids = ktbatch.context_ids([names[c] for c in contexts.tolist()])
     ids = np.sort(np.concatenate((body_ids, head_ids)))
     ids = ids[np.diff(ids, prepend=-1) != 0]
     n_cols = len(ids)
-    body = groups.body.copy()
+    body = firsts.rows.copy()
     body[1] = np.searchsorted(ids, body_ids)[rank[body[1]]]
     starts = np.searchsorted(body[0], np.arange(len(reps) + 1))
     head_col = np.searchsorted(ids, head_ids)
@@ -452,7 +452,7 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, groups, reps):
         cost -= A[c1 + d1]
         cost -= base
         extra = cost.sum(axis=1)
-        passes = groups.length[lo:hi, None] <= params.entropy_bound(lengths)
+        passes = firsts.length[lo:hi, None] <= params.entropy_bound(lengths)
         gap = extra - params.noise_bound(lengths)
         ok = passes & (gap <= 0)
         # ``passes`` is exact; only the noise test is re-decided

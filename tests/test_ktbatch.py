@@ -7,8 +7,8 @@ import numpy as np
 
 from bitmine import KTBackend
 from bitmine import bits as bitutil
-from bitmine.ktbatch import (children, class_bodies, class_groups,
-                             class_lengths, code_level, groups, narrow, root)
+from bitmine.ktbatch import (class_bodies, class_groups, class_lengths,
+                             code_level, groups, narrow, root)
 
 ORDERS = [0, 1, 2, 3, 4, 5, 6, 9, 24]
 
@@ -17,10 +17,11 @@ def _signature(groups, g):
     # signature()'s key, rebuilt from group g's array form: each head
     # position's context (shorter than the order) once, with its bit, and
     # the body's full-length contexts
-    head = groups.names[groups.head[g]]
+    reps = groups.reps
+    head = reps.names[reps.head[g]]
     counts = {head[:t]: (int(b == "0"), int(b == "1")) for t, b in enumerate(head)}
-    _, ctx, zeros, ones = groups.body[:, groups.body[0] == g].tolist()
-    counts.update((groups.names[c], (z, o)) for c, z, o in zip(ctx, zeros, ones))
+    _, ctx, zeros, ones = reps.rows[:, reps.rows[0] == g].tolist()
+    counts.update((reps.names[c], (z, o)) for c, z, o in zip(ctx, zeros, ones))
     return head, tuple(sorted(counts.items()))
 
 
@@ -35,9 +36,9 @@ def _check_groups(backend, strings, lengths, groups):
     assert groups.first.tolist() == list(first.values())
     assert groups.group.tolist() == [number[sig] for sig in sigs]
     assert [_signature(groups, g) for g in range(len(first))] == list(first)
-    assert groups.length.tolist() == [lengths[i] for i in first.values()]
-    assert all(len(groups.names[c]) == backend.order
-               for c in groups.body[1].tolist())
+    assert groups.reps.length.tolist() == [lengths[i] for i in first.values()]
+    assert all(len(groups.reps.names[c]) == backend.order
+               for c in groups.reps.rows[1].tolist())
 
 
 def _class_groups(order, width, values, lengths, chunk):
@@ -79,9 +80,7 @@ def _frontiers(order, widest):
     frontier, strings = root(), [""]
     for _ in range(widest + 1):
         yield strings, frontier
-        level = code_level(order, frontier, ["0", "1"])
-        every = np.arange(len(level.length))
-        frontier = narrow(children(level, every), every)
+        frontier = code_level(order, frontier, ["0", "1"])
         strings = [p + s for p in strings for s in "01"]
 
 
@@ -95,7 +94,7 @@ def _check_level(backend, parents, frontier, suffixes):
                  np.arange(len(strings))):
         _check_groups(backend, [strings[i] for i in keep.tolist()],
                       [lengths[i] for i in keep.tolist()],
-                      groups(children(level, keep)))
+                      groups(narrow(level, keep)))
 
 
 def test_level_coder_equals_the_walk():
@@ -113,6 +112,42 @@ def test_level_coder_equals_the_walk():
                      [x for n in (1, 2, 3) for x in bitutil.all_of_length(n)])
 
 
+def _patterns(frontier):
+    # per pattern its L(x), head, tail and count row as {context: (zeros,
+    # ones)}, by name
+    names, rows = frontier.names, [{} for _ in frontier.length]
+    for p, c, zeros, ones in zip(*frontier.rows.tolist()):
+        rows[p][names[c]] = (zeros, ones)
+    return [(length, names[h], names[t], row) for length, h, t, row in zip(
+        frontier.length.tolist(), frontier.head.tolist(),
+        frontier.tail.tolist(), rows)]
+
+
+def _pattern(backend, x):
+    # _patterns' entry for x, from its definition
+    k = backend.order
+    row: dict = {}
+    for t in range(k, len(x)):
+        zeros, ones = row.get(x[t - k:t], (0, 0))
+        row[x[t - k:t]] = (zeros + (x[t] == "0"), ones + (x[t] == "1"))
+    return backend.code_len(x), x[:k], x[max(0, len(x) - k):], row
+
+
+def test_children_equal_the_same_strings_coded_from_the_root():
+    # every child of a frontier of every string of 0-8 bits, steps of 1-3
+    # bits, has the L(x), head, tail and count row of the same string
+    # coded from the root, which are x's own
+    for order in ORDERS:
+        backend = KTBackend(order)
+        for parents, frontier in _frontiers(order, 8):
+            for step in (1, 2, 3):
+                suffixes = list(bitutil.all_of_length(step))
+                strings = [p + s for p in parents for s in suffixes]
+                got = _patterns(code_level(order, frontier, suffixes))
+                assert got == _patterns(code_level(order, root(), strings))
+                assert got == [_pattern(backend, x) for x in strings]
+
+
 def test_level_coder_on_long_patterns():
     # a frontier of random 30-60-bit patterns in any order, grown from
     # plain strings and narrowed to a shuffled subset
@@ -126,8 +161,7 @@ def test_level_coder_on_long_patterns():
         keep = list(range(len(strings)))
         rng.shuffle(keep)
         keep = keep[:25]
-        frontier = narrow(children(level, np.arange(len(strings))),
-                          np.array(keep))
+        frontier = narrow(level, np.array(keep))
         _check_level(backend, [strings[i] for i in keep], frontier,
                      list(bitutil.all_of_length(3)))
 
@@ -161,16 +195,13 @@ def test_level_coder_memory_does_not_span_the_contexts():
     rng = Random(9)
     strings = ["".join(rng.choice("01") for _ in range(40))
                for _ in range(768)]
-    level = code_level(9, root(), strings)
-    every = np.arange(len(strings))
-    frontier = narrow(children(level, every), every)
+    frontier = code_level(9, root(), strings)
     assert len(np.unique(frontier.rows[1])) >= 500
     suffixes = list(bitutil.all_of_length(2))
     tracemalloc.start()
     try:
         level = code_level(9, frontier, suffixes)
-        kept = children(level, np.arange(len(level.length)))
-        coded = groups(kept)
+        coded = groups(level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
