@@ -32,10 +32,10 @@ its order (numpy's ``sum`` adds pairwise and would round differently).
   partitions the rows by (head, row), and ``narrow`` keeps the frequent
   children as the next frontier.  Rows are sparse, so memory follows the
   contexts that occur, not the 2**order that may.
-- ``Groups`` is the one form in which the KT closed form
-  (``occurrence.support``) takes signature groups: the partition and its
-  first members as a ``Frontier`` with no tails, from ``class_bodies``
-  (the oracle), ``groups`` (the miner) or ``string_groups`` (plain
+- ``Groups`` is the one form in which ``occurrence.support`` takes KT
+  strings: their L(x), the signature partition and its first members as a
+  ``Frontier`` with no tails, from ``class_bodies`` (the oracle),
+  ``groups`` (the miner) or ``string_groups`` (plain
   strings).  ``head_steps`` gives the closed form each head's steps after
   each transaction's tail from integer windows, with no walk, and
   ``context_ids`` names contexts by integers below 2 << order, the rows of
@@ -344,14 +344,15 @@ def class_lengths(order: int, width: int, prev: np.ndarray,
 
 
 class Groups(NamedTuple):
-    """Signature groups of KT-coded strings, in the one form the KT closed
-    form (``occurrence.support``) takes from every producer.  A group is
-    one (head, count row): its strings' first ``order`` bits and the
-    (zeros, ones) of each full-length context after them, which is
-    ``signature``'s partition (shorter contexts lie within the head)."""
+    """KT-coded strings, in the one form ``occurrence.support`` takes from
+    every producer: their L(x) and signature groups (which only the closed
+    form reads).  A group is one (head, count row): its strings' first
+    ``order`` bits and the (zeros, ones) of each full-length context after
+    them, ``signature``'s partition (shorter contexts lie within the head)."""
     group: np.ndarray   # per string, its group, numbered by first member
     first: np.ndarray   # per group, the index of its first member
     reps: Frontier      # the groups' first members, in group order, no tails
+    length: np.ndarray  # per string, L(x)
 
 
 def _pack(columns: np.ndarray, bits: int) -> list:
@@ -452,7 +453,7 @@ def class_bodies(order: int, width: int, values: np.ndarray,
         names += [_bits(v, order) for v in contexts.tolist()]
         body[:] = (at // ctx.shape[1], context + len(heads),
                    np.diff(at, append=ctx.size) - ones, ones)
-    return Groups(own, own, Frontier(names, lengths, head_of, body))
+    return Groups(own, own, Frontier(names, lengths, head_of, body), lengths)
 
 
 # Largest (head, tail, step) block ``head_steps`` builds at once.
@@ -676,7 +677,8 @@ def groups(frontier: Frontier) -> Groups:
     body = frontier.rows[:, number[member] >= 0]
     body[0] = number[body[0]]
     return Groups(group, first, Frontier(
-        frontier.names, frontier.length[first], frontier.head[first], body))
+        frontier.names, frontier.length[first], frontier.head[first], body),
+        frontier.length)
 
 
 def string_groups(order: int, strings: list) -> Groups:

@@ -24,7 +24,6 @@ session without LZ does not load it.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -150,34 +149,14 @@ def lengths(xs):
     return out
 
 
-def _parents(xs, parent, n_t):
-    """The parents of ``xs``, longest first, their occurrence lists (every
-    transaction for None), and each x's parent's index."""
-    index: dict = {}  # p -> its number, in order of first sight
-    occs = []
-
-    def number(x):
-        p, occ = parent(x) if parent is not None else ("", None)
-        if p not in index:
-            index[p] = len(occs)
-            occs.append(range(n_t) if occ is None else occ)
-        return index[p]
-
-    of = np.fromiter(map(number, xs), np.intp, len(xs))
-    ps = sorted(index, key=len, reverse=True)
-    renumber = np.empty(len(ps), dtype=np.intp)
-    renumber[[index[p] for p in ps]] = np.arange(len(ps))
-    return ps, [occs[index[p]] for p in ps], renumber[of]
-
-
-def extras(limits, coded, xs, lens, parent):
+def extras(bounds, coded, xs, lens, parents):
     """The live (child, transaction) pairs of an LZ count and their extra
     costs, a block at a time: (indices into ``xs``, transactions,
     the integers L(y||x) - L(y)), each ``==`` ``extend_cost(state_y, x)``.
-    ``limits`` holds per transaction (largest L(x), largest extra cost) as
-    ``occurrence._limits`` gives them, ``lens`` each L(x), and ``parent``
-    maps x to (p, occ) as for ``occurrence.support`` (None: every x is a
-    child of the empty prefix, on every transaction).
+    ``bounds`` holds the transactions' largest L(x) and largest extra
+    cost as ``occurrence._bounds`` gives them, ``lens`` each L(x), and
+    ``parents`` is (patterns, occurrence lists, each x's parent's index)
+    as ``occurrence.support`` resolves it.
 
     For every parent p and transaction y in p's occurrence list where some
     child of p passes entropy reduction (its live children, the first of
@@ -190,21 +169,24 @@ def extras(limits, coded, xs, lens, parent):
     pairs of one child come in the order of its parent's list.
     """
     lz = tries(coded)
-    n_t = len(coded.items)
     if not xs:
         return
-    ps, occs, of = _parents(xs, parent, n_t)
+    ps, occs, of = parents
+    by = sorted(range(len(ps)), key=lambda i: -len(ps[i]))  # longest first
+    of = np.argsort(by)[of]
+    ps = [ps[i] for i in by]
+    occs = [range(len(coded.items)) if occ is None else occ
+            for occ in map(occs.__getitem__, by)]
     cut = np.array([len(p) for p in ps], dtype=np.intp)
     # Children by (parent, L(x)), so a pair's live children come first.
     # LZ costs are integers, so L(x) <= b exactly when L(x) <= floor(b).
-    lens = [int(v) for v in lens]
-    span = max(lens) + 2
-    order = (of * span + np.array(lens, dtype=np.intp)).tolist()
+    lens = np.asarray(lens).astype(np.intp)
+    span = int(lens.max()) + 2
+    order = (of * span + lens).tolist()
     by_len = sorted(range(len(xs)), key=order.__getitem__)
     order = np.array(order, dtype=np.intp)[by_len]
     by_len = np.array(by_len, dtype=np.intp)
-    live_below = np.array([min(max(math.floor(b) + 1, 0), span)
-                           for b, _ in limits], dtype=np.intp)
+    live_below = np.clip(np.floor(bounds[0]) + 1, 0, span).astype(np.intp)
     p_bits = _bit_rows(ps, repeat(0))[0]
     s_bits, s_width = _bit_rows(xs, cut[of].tolist())  # each child's suffix
     s_max = s_bits.shape[1]

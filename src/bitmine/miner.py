@@ -14,8 +14,9 @@ candidates from scratch with ``code_strings``: LZ all of a level's at
 once, in numpy, with integer costs, and the external adapter by one
 compressor run each (extending a parent's state would run it on all of
 the child's bits anyway).  Either way the prefilter is one test on the
-level's array of lengths.  The frontier keeps the transactions each
-pattern occurs in where the count reports them.
+level's array of lengths.  The frontier lists its patterns and, where
+the count reports them, the transactions each occurs in; ``support``
+gets each candidate's parent by index into them.
 Infrequent patterns are never extended; with a monotone backend this
 pruning is exact (extensions of non-occurring patterns cannot occur), so
 the result equals the full frequent set, in either mode.  For the same
@@ -97,12 +98,12 @@ class LevelStats:
     level: int
     candidates: int  # generated
     kept: int        # left after the entropy-reduction prefilter
-    groups: int      # groups counted: KT signature groups, else candidates
+    groups: int      # KT closed form: signature groups; else candidates
     # (group, transaction) pairs whose extra cost was evaluated: all of them
-    # under the KT closed form (orders up to 8, see ``support``); otherwise
-    # only those where L(x) passes entropy reduction, on the parent's
-    # occurrence list for LZ and KT above order 8, and on every transaction
-    # for the external adapter, which is not monotone
+    # under the KT closed form (orders up to 8, see ``support``), and its
+    # members' recounts; otherwise only those where L(x) passes entropy
+    # reduction, on the parent's occurrence list for LZ and KT above order
+    # 8, and on every transaction for the external adapter (not monotone)
     pairs: int
     frequent: int
     seconds: float   # wall time of the whole level
@@ -140,10 +141,10 @@ class MiningResult:
         return len(self.patterns)
 
 
-def _count_pass(backend, params, T, candidates, coded, parent):
+def _count_pass(backend, params, T, candidates, coded, parents):
     """Exact support count for every candidate in one pass over T (see
     ``occurrence.support``)."""
-    return support(backend, params, T, candidates, coded, parent)
+    return support(backend, params, T, candidates, coded, parents)
 
 
 def _prefilter(backend, params, candidates, max_len_y, lengths):
@@ -152,32 +153,29 @@ def _prefilter(backend, params, candidates, max_len_y, lengths):
     return np.flatnonzero(lengths <= params.entropy_bound(max_len_y))
 
 
-def _run_level(backend, params, T, config, candidates, parents, level, start):
+def _run_level(backend, params, T, config, candidates, frontier, level, start):
     """Code, prefilter and count one level's candidates.
 
-    Each candidate is a pattern of the frontier ``parents`` followed by
-    ``step_bits`` bits, pattern by pattern, as ``generate`` lists them; the
-    seed candidates are the children of the empty pattern.  The frontier is
-    (coder, {pattern: its occurrence list or None}, in frontier order),
-    where ``coder`` is the patterns' ``ktbatch.Frontier`` for a KT backend
-    and None for every other; no coder state is built.  Returns the frequent
-    patterns, the next frontier and the level's ``LevelStats``.  Each
-    candidate's parent and its occurrence list (None, from the KT closed
-    form, stands for every transaction) go to ``support``, which alone
-    decides whether the list may prune.  For the external adapter it never
-    may, so that backend's frontier keeps exact occurrence lists that
-    nothing reads.
+    Each candidate is a pattern of ``frontier`` followed by ``step_bits``
+    bits, pattern by pattern, as ``generate`` lists them; the seed
+    candidates are the children of the empty pattern.  The frontier is
+    (coder, patterns, their occurrence lists or None), ``coder`` the
+    patterns' ``ktbatch.Frontier`` for a KT backend, else None; no coder
+    state is built.  It goes to ``support`` with each kept candidate's
+    parent index; ``support`` alone decides whether a list may prune (for
+    the external adapter never, so its lists go unread).  Returns the
+    frequent patterns, the next frontier and the level's ``LevelStats``.
     """
-    coder, occurs_in = parents
+    coder, patterns, lists = frontier
+    per_parent = len(candidates) // len(patterns)
     if coder is None:
         coded = code_strings(backend, candidates)
         # the candidates are distinct, so ``coded`` lists them in their order
         lengths = np.fromiter(coded.values(), float, len(coded))
     else:
-        first = len(next(iter(occurs_in)))  # its children come first
+        first = len(patterns[0])  # its children come first
         children = ktbatch.code_level(
-            backend.order, coder,
-            [x[first:] for x in candidates[:len(candidates) // len(occurs_in)]])
+            backend.order, coder, [x[first:] for x in candidates[:per_parent]])
         lengths = children.length
     kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
                          lengths)
@@ -186,12 +184,9 @@ def _run_level(backend, params, T, config, candidates, parents, level, start):
         if len(kept) < len(candidates):  # else narrowing only costs time
             children = ktbatch.narrow(children, kept_at)
         coded = ktbatch.groups(children)
-
-    def parent(x):
-        p = x[:-config.step_bits]
-        return p, occurs_in[p]
-
-    counts = _count_pass(backend, params, T, kept, coded, parent)
+    # ``generate`` lists each parent's children together, in frontier order
+    counts = _count_pass(backend, params, T, kept, coded,
+                         (patterns, lists, kept_at // per_parent))
     eps = config.resolve_epsilon(len(T))
     n = np.fromiter(counts.values(), np.intp, len(counts))  # in kept order
     chosen = sorted(np.flatnonzero(n >= eps).tolist(), key=kept.__getitem__)
@@ -200,8 +195,8 @@ def _run_level(backend, params, T, config, candidates, parents, level, start):
                        lengths[kept_at[chosen]].tolist())]
     if coder is not None:
         coder = ktbatch.narrow(children, np.array(chosen, dtype=np.intp))
-    found = counts.occurrences or {}
-    frontier = (coder, {p.pattern: found.get(p.pattern) for p in frequent})
+    found = counts.occurrences or [None] * len(kept)
+    frontier = (coder, [p.pattern for p in frequent], [found[i] for i in chosen])
     stats = LevelStats(level, len(candidates), len(kept), counts.groups,
                        counts.pairs, len(frequent), time.perf_counter() - start)
     return frequent, frontier, stats
@@ -218,7 +213,7 @@ def _seed(backend, params, T, config):
     for length in range(1, config.step_bits + 1):
         candidates.extend(bitutil.all_of_length(length))
     root = (ktbatch.root() if isinstance(backend, KTBackend) else None,
-            {"": None})
+            [""], [None])
     return _run_level(backend, params, T, config, candidates, root, 0, start)
 
 

@@ -12,34 +12,28 @@ with 0 < c1 < 1, 0 < c2 < 1 for the scale-free form and c3, c4 > 0 for the
 additive form.  All inequalities are non-strict.
 
 ``frequency`` is the definitional count: one sequential coder call per
-transaction.  ``support`` counts many candidates at once.  For the KT
-backend it takes their signature groups and first members' count rows
-(``ktbatch.Groups``, from the miner's level coder, the oracle's class
-coder, or ``ktbatch.string_groups`` for plain strings), evaluates
-L(y||x) - L(y) in closed form with numpy and hands every pair within
-``REDECIDE_TOL`` of the noise threshold back to the sequential coder, so
-its decisions equal those of ``frequency`` (the entropy test is exact).
-It does so only up to order ``_KT_MAX_ORDER`` and while a table of
-2**(order + 1) rows by |T| fits ``_KT_TABLE_MAX``; past either, KT takes
-the sequential path.
-Signature groups are a KT shortcut (the add-1/2 estimator is
-exchangeable): every other backend counts each distinct candidate as a
-group of its own, from its L(x) (``code_strings``, which prices it from
-scratch with ``code_len`` and builds no coder state, or, for LZ, parses
-every candidate at once in numpy).  LZ is counted in numpy too, parent by
-parent, on the transactions where the parent occurs: each (parent,
-transaction) pair is parsed once, a bit column at a time over all pairs,
-from the transaction's phrase trie cached as a flat table, and each child
-from there (``_lz_support``, on the batch module ``lzbatch``).  LZ costs
-are integers, so its decisions equal those of ``frequency`` exactly.
-The sequential coder counts the rest (``_count_by_parent``): KT past the
-closed form's limits, parent by parent, and the non-monotone external
-adapter on every transaction.
+transaction.  ``support`` counts many candidates at once, against
+per-transaction bounds (``_bounds``) built once per count.  KT signature
+groups (``ktbatch.Groups``: from the miner's level coder, the oracle's
+class coder, or ``ktbatch.string_groups``) are counted in closed form
+with numpy (the add-1/2 estimator is exchangeable), and the sequential
+coder recounts the members that rounding could set apart, so the
+decisions equal those of ``frequency``; this up to order
+``_KT_MAX_ORDER``, while 2**(order + 1) rows by |T| fit ``_KT_TABLE_MAX``.
+Otherwise each candidate is counted on its own, from its L(x), parent by
+parent (as Eclat counts on tid-lists): the caller passes its frontier as
+arrays, and a child is counted only where its parent occurs.  LZ is
+counted in numpy: each (parent, transaction) pair is parsed once, a bit
+column at a time over all pairs, from the transaction's phrase trie
+cached as a flat table, and each child from there (``_lz_support``, on
+the batch module ``lzbatch``); its costs are integers, so its decisions
+equal those of ``frequency`` exactly.  The sequential coder counts the
+rest (``_count_by_parent``): KT past the closed form's limits, and the
+non-monotone external adapter on every transaction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +169,8 @@ def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> i
     cache = T.cached(backend)
     len_x = backend.code_len(x)
     count = 0
-    for i, (state_y, (max_len_x, max_extra)) in enumerate(
-            zip(cache.states, _limits(params, cache))):
+    for i, (state_y, max_len_x, max_extra) in enumerate(
+            zip(cache.states, *(b.tolist() for b in _bounds(params, cache)))):
         if len_x > max_len_x:
             continue
         try:
@@ -188,29 +182,29 @@ def frequency(backend, params: OccurrenceParams, T: TransactionSet, x: str) -> i
     return count
 
 
-def _limits(params, coded):
+def _bounds(params, coded):
     """(largest L(x), largest L(y||x) - L(y)) that occur, per transaction."""
     for i, len_y in enumerate(coded.lengths):
         if len_y <= 0.0:
             raise PredicateError(f"transaction {i}: backend reports code "
                                  f"length {len_y} for a non-empty datum")
-    return [(params.entropy_bound(len_y), params.noise_bound(len_y))
-            for len_y in coded.lengths]
+    lengths = np.asarray(coded.lengths, dtype=float)
+    return (params.entropy_bound(lengths),
+            np.full_like(lengths, params.noise_bound(lengths)))
 
 
 class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
     ``groups`` groups were counted, over ``pairs``
     (group, transaction) pairs whose extra cost was evaluated.
-    ``per_group`` holds each group's count as an intp array.
-    ``occurrences`` maps each x to the ascending indices of the
-    transactions it occurs in when the count went parent by parent (the
-    coder or the LZ kernel), and is None when it came from the KT closed
-    form."""
+    ``occurrences`` holds, per candidate, the ascending indices of the
+    transactions it occurs in, or None from the KT closed form.  ``near``
+    flags the candidates that a pair near a bound sent to the sequential
+    coder: another string of their signature group may count otherwise."""
     groups = 0
     pairs = 0
-    per_group = None
     occurrences = None
+    near = None
 
 
 def code_strings(backend, xs) -> dict:
@@ -228,92 +222,94 @@ def code_strings(backend, xs) -> dict:
 
 
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
-            coded=None, parent=None) -> Support:
+            coded=None, parents=None) -> Support:
     """Support of every candidate in T, as {x: count}; each count equals
     ``frequency(backend, params, T, x)``.
 
-    Candidates are counted in groups, each once, by its first member in
-    ``candidates``: its L(x) decides entropy reduction for the whole
-    group, and only it is re-coded where the noise test is re-decided.
-    (The oracle passes each KT group's first kept member alone.)
-    For a ``KTBackend`` a group is a signature group (strings with equal
-    signatures cost the same after any coder state, hence have identical
-    support), ``coded`` is the candidates' ``ktbatch.Groups`` (by default
-    ``ktbatch.string_groups``, after checking the candidates), and the
-    groups are counted in closed form, on every transaction, up to order
-    ``_KT_MAX_ORDER`` while (2 << order) x |T| fits ``_KT_TABLE_MAX``;
-    this is the one place that chooses the KT count path.  For every
-    other backend each distinct candidate is a group of its own, and
-    ``coded`` maps each x to L(x), as ``code_strings`` (the default)
-    returns it.  An ``LZBackend`` is counted in numpy (``_lz_support``),
-    every other backend (and KT past that order or size) by the coder
-    (``_count_by_parent``), both parent by parent: ``parent`` maps x to
-    (p, occ), a prefix p of x and the ascending transaction indices where
-    p occurs (None: every transaction).  With a monotone
-    backend x can only occur where p does, so the transactions outside
-    occ are skipped.  This is the one place that decides whether occ may
-    prune: a non-monotone backend's ``parent`` is ignored, and every x is
-    counted on every transaction as its own child of the empty prefix, as
-    without ``parent``.  Counts do not depend on grouping.
+    ``coded`` gives each candidate's L(x): its ``ktbatch.Groups`` for a
+    ``KTBackend`` (default ``ktbatch.string_groups``, after checking the
+    candidates), else {x: L(x)} (default ``code_strings``).  Up to KT
+    order ``_KT_MAX_ORDER``, while (2 << order) x |T| fits
+    ``_KT_TABLE_MAX``, the signature groups are counted in closed form,
+    each once, on every transaction; the coder recounts every member of a
+    group with a pair near the noise bound, and every member with an
+    entropy bound between its L(x) and its first member's.  This is the
+    one place that chooses the KT count path and that reads the groups.
+    Otherwise each candidate is counted on its own, parent by parent: by
+    ``_lz_support`` for an ``LZBackend``, else by ``_count_by_parent``.
+    ``parents`` is (patterns, their occurrence lists: the ascending
+    indices of the transactions each occurs in, None for all, and each
+    candidate's parent's index); None is one parent, the empty pattern,
+    on every transaction.  A monotone backend's x can only occur where its
+    parent does, so the other transactions are skipped; a non-monotone
+    backend's ``parents`` are ignored, here and only here.
     """
     kt = isinstance(backend, KTBackend)
     if coded is None:
         candidates = [bitutil.check(x, "pattern") for x in candidates]
         coded = (ktbatch.string_groups(backend.order, candidates) if kt
                  else code_strings(backend, candidates))
-    if kt:
-        reps = [candidates[i] for i in coded.first.tolist()]
-        group, lens = coded.group, coded.reps.length.tolist()
-    else:
-        number = {}
-        group = [number.setdefault(x, len(number)) for x in candidates]
-        reps = list(number)
-        lens = [coded[x] for x in reps]
+    lens = (coded.length if kt else np.fromiter(
+        map(coded.__getitem__, candidates), float, len(candidates)))
     cache = T.cached(backend)
+    bounds = _bounds(params, cache)
     n_t = len(cache.items)
-    if (kt and reps and n_t and backend.order <= _KT_MAX_ORDER
+    if parents is None or not backend.monotone:
+        parents = [""], [None], np.zeros(len(candidates), dtype=np.intp)
+    if (kt and candidates and n_t and backend.order <= _KT_MAX_ORDER
             and (2 << backend.order) * n_t <= _KT_TABLE_MAX):
-        counts = _kt_support(backend, params, cache, coded.reps, reps)
-        found, pairs = None, len(reps) * n_t
-    elif isinstance(backend, LZBackend):
-        found, pairs = _lz_support(_limits(params, cache), cache, reps, lens,
-                                   parent)
-        counts = [len(ts) for ts in found]
+        counts, near = _kt_support(backend.order, cache, coded.reps, bounds)
+        counts, near = counts[coded.group], near[coded.group]
+        # a member whose L(x) differs from its first member's by rounding,
+        # with an entropy bound in between
+        lead, entropy = lens[coded.first][coded.group], np.sort(bounds[0])
+        apart = np.flatnonzero(lens != lead)
+        near[apart] |= (np.searchsorted(entropy, lens[apart])
+                        != np.searchsorted(entropy, lead[apart]))
+        groups, pairs, found = len(coded.first), len(coded.first) * n_t, None
+        again = np.flatnonzero(near)
+        if len(again):
+            recount, more, _ = _count_by_parent(
+                backend, bounds, cache, [candidates[i] for i in again.tolist()],
+                lens[again], (*parents[:2], parents[2][again]))
+            counts[again] = [len(ts) for ts in recount]
+            pairs += more
+        counts = counts.tolist()
     else:
-        found, pairs = _count_by_parent(
-            backend, _limits(params, cache), cache, reps, lens,
-            parent if backend.monotone else None)
-        counts = [len(ts) for ts in found]
-    per_group = np.asarray(counts, dtype=np.intp)
-    result = Support(zip(candidates, per_group[group].tolist()))
-    result.groups, result.pairs, result.per_group = len(reps), pairs, per_group
-    if found is not None:
-        result.occurrences = dict(zip(candidates, (found[g] for g in group)))
+        count = _lz_support if isinstance(backend, LZBackend) else _count_by_parent
+        found, pairs, near = count(backend, bounds, cache, candidates, lens,
+                                   parents)
+        groups, counts = len(candidates), [len(ts) for ts in found]
+    result = Support(zip(candidates, counts))
+    result.groups, result.pairs = groups, pairs
+    result.occurrences, result.near = found, near
     return result
 
 
-def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
-    """(occurrence list of each x, pairs priced) by the sequential coder.
+def _count_by_parent(backend, bounds, coded: _Coded, xs, lens, parents):
+    """(occurrence list of each x, pairs priced, near flag of each x) by
+    the sequential coder; x is near where an extra cost of it lies within
+    ``REDECIDE_TOL`` of the noise bound.
 
     For every parent p and transaction y in p's occurrence list where some
-    child of p passes entropy reduction, y || p is parsed once; each
-    child x = p || s is then priced by s alone from that state.  The
-    suffix's cost continues p's extra cost L(y||p) - L(y) (``extend_cost``'s
-    running sum), so each extra cost is bit-identical to
-    ``extend_cost(state_y, x)``.
+    child of p passes entropy reduction, y || p is parsed once; each child
+    x = p || s is then priced by s alone from that state, continuing p's
+    extra cost (``extend_cost``'s running sum), so each extra cost is
+    bit-identical to ``extend_cost(state_y, x)``.
     """
-    children: dict = {}  # p -> (p's occurrence list, indices into xs)
-    for g, x in enumerate(xs):
-        p, occ = parent(x) if parent is not None else ("", None)
-        children.setdefault(p, (occ, []))[1].append(g)
+    max_len_x, max_extra = (b.tolist() for b in bounds)
+    lens = lens.tolist()
+    patterns, lists, of = parents
+    by = np.argsort(of, kind="stable")  # children by parent
+    ends = np.searchsorted(of[by], np.arange(len(patterns) + 1)).tolist()
     found = [[] for _ in xs]
+    near = np.zeros(len(xs), dtype=bool)
     pairs = t = 0
     try:
-        for p, (occ, gs) in children.items():
-            cut = len(p)
+        for p, occ, lo, hi in zip(patterns, lists, ends, ends[1:]):
+            gs, cut = by[lo:hi].tolist(), len(p)
             for t in range(len(coded.items)) if occ is None else occ:
-                max_len_x, max_extra = limits[t]
-                live = [g for g in gs if lens[g] <= max_len_x]
+                live = [g for g in gs if lens[g] <= max_len_x[t]]
                 if not live:
                     continue
                 state, extra_p = coded.states[t], 0.0
@@ -321,30 +317,31 @@ def _count_by_parent(backend, limits, coded: _Coded, xs, lens, parent):
                     state, extra_p = backend.extend(state, p)
                 pairs += len(live)
                 for g in live:
-                    if backend.extend_cost(state, xs[g][cut:], extra_p) <= max_extra:
+                    extra = backend.extend_cost(state, xs[g][cut:], extra_p)
+                    if extra <= max_extra[t]:
                         found[g].append(t)
+                    near[g] |= abs(extra - max_extra[t]) <= REDECIDE_TOL
     except EstimationError as exc:
         raise EstimationError(f"transaction {t}: {exc}") from exc
-    return found, pairs
+    return found, pairs, near
 
 
-def _lz_support(limits, coded: _Coded, xs, lens, parent):
+def _lz_support(backend, bounds, coded: _Coded, xs, lens, parents):
     """``_count_by_parent`` for ``LZBackend``, in numpy: the noise test on
     the pairs and extra costs of ``lzbatch.extras``.  LZ costs are
-    integers, so an extra cost is at most a bound b exactly when it is at
-    most floor(b), and each test is decided as ``frequency`` decides it."""
+    integers, exact as floats, so each test is decided as ``frequency``
+    decides it, and no x is near."""
     from . import lzbatch  # loaded on first use: only LZ needs it
 
-    max_extra = np.array([math.floor(e) for _, e in limits], dtype=np.intp)
     found = [[] for _ in xs]
     pairs = 0
-    for g, t, extra in lzbatch.extras(limits, coded, xs, lens, parent):
+    for g, t, extra in lzbatch.extras(bounds, coded, xs, lens, parents):
         pairs += len(g)
-        ok = np.flatnonzero(extra <= max_extra[t])
+        ok = np.flatnonzero(extra <= bounds[1][t])
         # a child's pairs come in order: its transactions ascend
         for x, y in zip(g[ok].tolist(), t[ok].tolist()):
             found[x].append(y)
-    return found, pairs
+    return found, pairs, np.zeros(len(xs), dtype=bool)
 
 
 @dataclass
@@ -373,9 +370,11 @@ def _kt_counts(coded: _Coded, order: int):
     return coded.kt
 
 
-def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
-    """Closed-form counts of signature groups, from their first members
-    ``reps`` and their ``ktbatch.Frontier`` ``firsts`` (``Groups.reps``).
+def _kt_support(order: int, coded: _Coded, firsts, bounds):
+    """Closed-form counts of signature groups, and which groups have a
+    pair near the noise bound, from the groups' first members, their
+    ``ktbatch.Frontier`` ``firsts`` (``Groups.reps``), and the
+    transactions' ``bounds`` (``_bounds``).
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
@@ -385,12 +384,13 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
     whose dense groups x contexts x transactions arrays hold at most
     ``_BLOCK_ELEMENTS`` entries (a single group may exceed it).
     """
-    k = backend.order
-    kt = _kt_counts(coded, k)
-    lengths = np.asarray(coded.lengths)
+    kt = _kt_counts(coded, order)
     n_t = len(coded.states)
-    max_x = max(map(len, reps))
+    n_groups = len(firsts.length)
     names = firsts.names
+    # the longest member: the bits of its head, then one per window
+    windows = np.bincount(firsts.rows[0], firsts.rows[2] + firsts.rows[3], n_groups)
+    max_x = int((windows + np.array(list(map(len, names)))[firsts.head]).max())
 
     # Columns are the contexts any group touches, by id: those of the
     # groups' bodies (full length) and of their heads' steps after every
@@ -398,7 +398,7 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
     heads, rank = ktbatch._distinct(firsts.head, len(names))
     group_head = rank[firsts.head]
     tail, head_ids, bit, head_starts = ktbatch.head_steps(
-        k, kt.tails, [names[h] for h in heads.tolist()])
+        order, kt.tails, [names[h] for h in heads.tolist()])
     contexts, rank = ktbatch._distinct(firsts.rows[1], len(names))
     body_ids = ktbatch.context_ids([names[c] for c in contexts.tolist()])
     ids = np.sort(np.concatenate((body_ids, head_ids)))
@@ -406,7 +406,7 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
     n_cols = len(ids)
     body = firsts.rows.copy()
     body[1] = np.searchsorted(ids, body_ids)[rank[body[1]]]
-    starts = np.searchsorted(body[0], np.arange(len(reps) + 1))
+    starts = np.searchsorted(body[0], np.arange(n_groups + 1))
     head_col = np.searchsorted(ids, head_ids)
     del head_ids  # one int64 per (tail, head step): free it for the chunks
     c0, c1 = kt.zeros[ids], kt.ones[ids]
@@ -429,13 +429,15 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
     # contexts, so the table error, the closed form's own rounding
     # (per_group terms) and the sequential coder's (max_x steps) are
     # bounded in units of B[top].
-    per_group = min(max_x, 2 ** (backend.order + 1) - 1)
+    per_group = min(max_x, 2 ** (order + 1) - 1)
     tol = REDECIDE_TOL + 16 * np.finfo(float).eps * B[top] * (per_group + max_x)
 
-    counts = np.zeros(len(reps), dtype=np.intp)
+    entropy, noise = bounds
+    counts = np.zeros(n_groups, dtype=np.intp)
+    near = np.zeros(n_groups, dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // (n_cols * n_t))
-    for lo in range(0, len(reps), step):
-        hi = min(lo + step, len(reps))
+    for lo in range(0, n_groups, step):
+        hi = min(lo + step, n_groups)
         d = np.zeros((2, hi - lo, n_cols), dtype=np.intp)
         part = body[:, starts[lo]:starts[hi]]
         d[:, part[0] - lo, part[1]] = part[2:]
@@ -452,12 +454,8 @@ def _kt_support(backend: KTBackend, params, coded: _Coded, firsts, reps):
         cost -= A[c1 + d1]
         cost -= base
         extra = cost.sum(axis=1)
-        passes = firsts.length[lo:hi, None] <= params.entropy_bound(lengths)
-        gap = extra - params.noise_bound(lengths)
-        ok = passes & (gap <= 0)
-        # ``passes`` is exact; only the noise test is re-decided
-        for g, t in zip(*np.nonzero(passes & (np.abs(gap) <= tol))):
-            extra_seq = backend.extend_cost(coded.states[t], reps[lo + g])
-            ok[g, t] = extra_seq <= params.noise_bound(coded.lengths[t])
-        counts[lo:hi] = ok.sum(axis=1)
-    return counts
+        passes = firsts.length[lo:hi, None] <= entropy
+        gap = extra - noise
+        counts[lo:hi] = (passes & (gap <= 0)).sum(axis=1)
+        near[lo:hi] = (passes & (np.abs(gap) <= tol)).any(axis=1)
+    return counts, near

@@ -10,11 +10,13 @@ carry over from class to class too: a string's signature is its prefix's
 plus one window, so a class's groups follow from the previous class's
 (``ktbatch.class_groups`` merges the combinations of equal signature),
 each string keeps only its group's number, and each signature is counted
-once per class, by its first kept member.  Only frequent strings are
-formatted.  Every other backend prices each string with
+once per class, by its first kept member, and only the members rounding
+may set apart are counted on their own.  Only frequent strings and those
+are formatted.  Every other backend prices each string with
 ``occurrence.code_strings`` (``code_len``, no coder state; LZ a chunk
-of strings at once, in numpy) and counts it on its own.  The result keeps the L(x) it coded (``Frequent.code_len``)
-for ``oracle --out``, and what each class did (``Frequent.stats``).
+of strings at once, in numpy) and counts it on its own.  The result keeps
+the L(x) it coded (``Frequent.code_len``) for ``oracle --out``, and what
+each class did (``Frequent.stats``).
 Supports come from the same ``occurrence.support`` kernel the miner uses;
 that kernel is checked against the sequential ``occurrence.frequency`` in
 the tests.
@@ -32,7 +34,8 @@ import numpy as np
 from . import bits as bitutil
 from .codelength import KTBackend
 from .ktbatch import class_bodies, class_groups, class_lengths
-from .occurrence import OccurrenceParams, TransactionSet, code_strings, support
+from .occurrence import (REDECIDE_TOL, OccurrenceParams, TransactionSet,
+                         _bounds, code_strings, support)
 
 # Strings of one length class coded (and grouped) at a time, and groups
 # counted per support call; bounds memory.
@@ -94,10 +97,6 @@ def enumerate_frequent(backend, params: OccurrenceParams, T: TransactionSet,
     transaction (so no longer pattern can occur anywhere); otherwise the
     possibly-incomplete set is refused.  The minimum code length per
     length class is found by exhaustive scan.
-
-    ``support`` decides a group by one member: a KT signature group by its
-    first kept member in ascending value, that is, as a string, in
-    lexicographic order.
     """
     if len(T) < 1:
         raise ValueError("transaction set must be non-empty")
@@ -209,36 +208,56 @@ def _merge(order, width, group, lead):
 def _kt_classes(backend: KTBackend, params, T, epsilon, bound, max_len):
     """``_classes`` for a KT backend, with no string per enumerated
     pattern: each class's lengths and signature groups come from the
-    previous class's (``_kt_groups``), and ``support`` counts each group
-    once per class, by its first kept member, whose L(x) it reads for the
-    whole group, ``_CHUNK`` groups per call.  Only frequent strings are
-    formatted."""
+    previous class's (``_kt_groups``), and ``_kt_count`` counts them."""
+    entropy = np.sort(_bounds(params, T.cached(backend))[0])
     # map, not a loop: no loop variable holds one class's arrays while the
     # next class is built (3.6 MB of max RSS at order 5, 18 bits)
-    count = partial(_kt_count, backend, params, T, epsilon, bound)
+    count = partial(_kt_count, backend, params, T, epsilon, bound, entropy)
     return map(count, _kt_groups(backend.order, bound, max_len))
 
 
-def _kt_count(backend, params, T, epsilon, bound, classed):
+def _kt_count(backend, params, T, epsilon, bound, entropy, classed):
     """A class's ``ClassStats`` and frequent (x, count, L(x)), from its
-    lengths, group numbers and groups' first members."""
+    lengths, group numbers and groups' first members.  ``support`` counts
+    each group by its first kept member, ``_CHUNK`` groups per call.  The
+    other members take that count, but those of a group whose first
+    ``Support.near`` flags, or lies within rounding of an entropy bound
+    (``entropy``, ascending), are counted on their own."""
     lengths, group, first = classed
     width = len(lengths).bit_length() - 1
     fmt = f"0{width}b"
-    counts = np.zeros(len(first), dtype=np.intp)
+    counts, near = np.zeros(len(first), np.intp), np.zeros(len(first), bool)
     pairs = 0
     for lo in range(0, len(first), _CHUNK):
         reps = first[lo:lo + _CHUNK]
         got = support(backend, params, T,
                       [format(v, fmt) for v in reps.tolist()],
                       class_bodies(backend.order, width, reps, lengths[reps]))
-        counts[lo:lo + _CHUNK], pairs = got.per_group, pairs + got.pairs
+        counts[lo:lo + _CHUNK] = list(got.values())
+        near[lo:lo + _CHUNK], pairs = got.near, pairs + got.pairs
     kept = lengths <= bound
+    # a member's L(x) differs from its first member's by rounding, within
+    # ``margin``: only with a bound that near can the two lie across it
+    margin = REDECIDE_TOL + 2 * width * 2.0 ** -52 * bound
+    near |= (np.searchsorted(entropy + margin, lengths[first])
+             != np.searchsorted(entropy - margin, lengths[first]))
+    again = np.zeros(0, dtype=np.intp)  # the members counted on their own
+    if near.any():
+        again = np.flatnonzero(kept & near[group])
+        again = again[first[group[again]] != again]
+    recount = np.zeros(len(again), dtype=np.intp)
+    for lo in range(0, len(again), _CHUNK):
+        got = support(backend, params, T, [
+            format(v, fmt) for v in again[lo:lo + _CHUNK].tolist()])
+        recount[lo:lo + _CHUNK], pairs = list(got.values()), pairs + got.pairs
     frequent = []
-    if (counts >= epsilon).any():
-        hit = np.flatnonzero(kept & (counts >= epsilon)[group])
+    if len(again) or (counts >= epsilon).any():
+        hit = kept & (counts >= epsilon)[group]
+        hit[again] = recount >= epsilon
+        hit = np.flatnonzero(hit)
+        count, on = counts[group[hit]], recount >= epsilon
+        count[np.searchsorted(hit, again[on])] = recount[on]
         frequent = list(zip([format(v, fmt) for v in hit.tolist()],
-                            counts[group[hit]].tolist(),
-                            lengths[hit].tolist()))
+                            count.tolist(), lengths[hit].tolist()))
     return _class_stats(width, np.count_nonzero(kept), len(first), pairs,
                         lengths.min(), bound), frequent

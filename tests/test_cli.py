@@ -158,6 +158,34 @@ class TestMine:
             ("additive", "1.5", "2.0")
         assert "c1" not in header and "c2" not in header
 
+    def test_group_members_across_an_entropy_bound(self, tmp_path, capsys):
+        # KT order-3 signature groups whose members' L(x) differ by
+        # rounding, with the entropy bound after the first transaction on
+        # the smaller value: every count reported is ``frequency``'s, and
+        # the oracle agrees
+        data, out = tmp_path / "data.txt", tmp_path / "result.txt"
+        data.write_text("0110100110010110" * 4 + "\n"
+                        + "0011101001011100011010111" * 6 + "\n")
+        flags = ["--order", "3", "--variant", "additive",
+                 "--c3", "36.73830516120686", "--c4", "1000000",
+                 "--epsilon", "2"]
+        assert main(["mine", str(data), *flags, "--step-bits", "2",
+                     "--max-level", "6", "--out", str(out)]) == 0
+        records, _ = parse_result(read(out))
+        counts = {x: count for x, count, _, _ in records}
+        assert counts["01111111010110"] == 2
+        assert "10010100000001" not in counts
+        backend = bitmine.KTBackend(3)
+        params = bitmine.OccurrenceParams(variant="additive",
+                                          c3=36.73830516120686, c4=1e6)
+        T = bitmine.TransactionSet(parse_transactions(read(data).splitlines()))
+        assert counts == {x: bitmine.frequency(backend, params, T, x)
+                          for x in counts}
+        capsys.readouterr()
+        assert main(["oracle", str(data), *flags, "--max-len", "14",
+                     "--diff", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("identical")
+
 
 def _refuse(*args):
     raise AssertionError("code_len called")

@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from bitmine import (ExternalBackend, KTBackend, LZBackend, MiningConfig, OccurrenceParams,
@@ -168,7 +169,7 @@ class TestMine:
         if backend_name == "kt0":  # the closed form evaluates every pair
             assert all(s.pairs == s.groups * len(T) for s in res.stats)
             assert any(s.groups < s.kept for s in res.stats)
-        else:  # each distinct LZ candidate is a group of its own
+        else:  # each LZ candidate is a group of its own
             assert all(s.groups == s.kept for s in res.stats)
 
     def test_sound_mode_refuses_external_backend(self, fixture_transactions):
@@ -317,11 +318,13 @@ class TestKTLevels:
         # miner passes it (above order 8 the coder path prices only those)
         bound = params.entropy_bound(T.max_code_len(backend))
         candidates = [x for n in (1, 2) for x in bitutil.all_of_length(n)]
-        occurs_in = {"": None}
+        patterns, lists = [""], [None]
         for stats in result.stats:
             kept = [x for x in candidates if backend.code_len(x) <= bound]
+            index = {p: i for i, p in enumerate(patterns)}
+            of = np.array([index[x[:-2]] for x in kept], dtype=np.intp)
             counts = support(backend, params, T, kept,
-                             parent=lambda x: (x[:-2], occurs_in[x[:-2]]))
+                             parents=(patterns, lists, of))
             frequent = [p for p in result if p.level == stats.level]
             assert {p.pattern: p.count for p in frequent} == {
                 x: c for x, c in counts.items() if c >= 3}
@@ -330,11 +333,13 @@ class TestKTLevels:
                                         counts.groups, counts.pairs,
                                         len(frequent))
             candidates = generate(frequent, 2)
-            found = counts.occurrences or {}
-            occurs_in = {p.pattern: found.get(p.pattern) for p in frequent}
-        # with the count tables refused, the coder path counts each group
-        # on its parent's occurrence list, and finds the same
+            found = dict(zip(kept, counts.occurrences or [None] * len(kept)))
+            patterns = [p.pattern for p in frequent]
+            lists = [found[p] for p in patterns]
+        # with the count tables refused, the coder path counts each kept
+        # candidate on its own, on its parent's occurrence list, and finds
+        # the same
         monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 0)
         coder = mine(backend, params, TransactionSet(T.items), config)
         assert coder.patterns == result.patterns
-        assert [s.groups for s in coder.stats] == [s.groups for s in result.stats]
+        assert [s.groups for s in coder.stats] == [s.kept for s in result.stats]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,16 @@ ADDITIVE = OccurrenceParams(variant="additive", c3=2.0, c4=3.0)
 
 def random_bits(rng, lo, hi):
     return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+
+def parents_of(xs, parent, occ=None):
+    """``support``'s ``parents`` for ``xs``: (patterns, occurrence lists,
+    each x's parent's index), from {x: its parent} and {parent: its
+    occurrence list} (None: every transaction)."""
+    patterns = list(dict.fromkeys(parent[x] for x in xs))
+    index = {p: i for i, p in enumerate(patterns)}
+    return (patterns, [None if occ is None else occ[p] for p in patterns],
+            np.array([index[parent[x]] for x in xs], dtype=np.intp))
 
 
 class TestParams:
@@ -185,7 +196,7 @@ class TestAntiMonotonicity:
 
 
 class TestSupportByParent:
-    """``support`` with ``parent``: children counted on their parent's
+    """``support`` with ``parents``: children counted on their parent's
     occurrence list, from one parse of y || parent per transaction."""
 
     @staticmethod
@@ -203,11 +214,11 @@ class TestSupportByParent:
         occ[""] = None
         children = self._children(parents, step_bits)
         counts = support(backend, params, T, list(children),
-                         parent=lambda x: (children[x], occ[children[x]]))
-        for x in children:
+                         parents=parents_of(children, children, occ))
+        for x, found in zip(children, counts.occurrences):
             # infrequent candidates included: every count is checked
             assert counts[x] == frequency(backend, params, T, x), x
-            assert counts.occurrences[x] == [
+            assert found == [
                 t for t, y in enumerate(items) if occurs(backend, params, x, y)], x
         return T, occ, counts
 
@@ -265,7 +276,8 @@ class TestSupportByParent:
         items = ["0110" * 4, "1" * 16, "01101001" * 4, "001" * 10, "1" * 7]
         T = TransactionSet(items)
         xs = ["0", "1", "01", "10", "110"]
-        counts = support(ext, SCALE, T, xs, parent=lambda x: ("", [0]))
+        counts = support(ext, SCALE, T, xs,
+                         parents=([""], [[0]], np.zeros(len(xs), dtype=np.intp)))
         for x in xs:
             assert counts[x] == frequency(ext, SCALE, T, x), x
 
@@ -317,17 +329,6 @@ def test_candidates_are_priced_without_a_coder_state(backend, monkeypatch):
     assert occurrence.code_strings(backend, xs) == expected
 
 
-def test_lz_support_counts_each_distinct_candidate_once(lz,
-                                                       fixture_transactions):
-    # a repeated candidate joins its first copy's group
-    T = fixture_transactions
-    xs = ["01", "0110", "01", "1", "0110", "01"]
-    counts = support(lz, SCALE, T, xs)
-    assert counts.groups == 3
-    assert counts == {x: frequency(lz, SCALE, T, x) for x in xs}
-    assert len(set(counts.values())) > 1
-
-
 def _reads_own_phrase(state, bits):
     """Does an LZ parse of ``bits`` after ``state`` walk into a phrase that
     it added itself?"""
@@ -356,10 +357,11 @@ class TestLZKernel:
         T = TransactionSet(items)
         coded = T.cached(lz)
         lens = [lz.code_len(x) for x in xs]
-        limits = occurrence._limits(params, coded)
-        parent = None if parents is None else (lambda x: (parents[x], None))
+        bounds = occurrence._bounds(params, coded)
         priced = {}
-        for g, t, extra in lzbatch.extras(limits, coded, xs, lens, parent):
+        for g, t, extra in lzbatch.extras(
+                bounds, coded, xs, np.array(lens),
+                parents_of(xs, parents or dict.fromkeys(xs, ""))):
             for i, y, e in zip(g.tolist(), t.tolist(), extra.tolist()):
                 x = xs[i]
                 p = "" if parents is None else parents[x]
@@ -371,7 +373,7 @@ class TestLZKernel:
         # the live pairs: those where L(x) passes entropy reduction
         assert set(priced) == {(i, y) for i in range(len(xs))
                                for y in range(len(items))
-                               if lens[i] <= limits[y][0]}
+                               if lens[i] <= bounds[0][y]}
         return coded, priced
 
     @pytest.mark.parametrize("block", [1 << 13, 5], ids=["default", "tiny"])
@@ -454,8 +456,8 @@ class TestLZKernel:
 
         for name in ("extend", "extend_cost", "_parse"):
             monkeypatch.setattr(LZBackend, name, refuse)
-        parent = (lambda x: (of[x], occ[of[x]])) if with_parents else None
-        counts = support(lz, SCALE, T, xs, coded, parent)
+        counts = support(lz, SCALE, T, xs, coded,
+                         parents_of(xs, of, occ) if with_parents else None)
         assert counts == expected
         assert any(counts.values())
 

@@ -15,7 +15,8 @@ def test_readme_has_python_examples():
     assert BLOCKS
 
 
+# ids by ordinal, so that editing the README does not rename them
 @pytest.mark.parametrize("line, source", BLOCKS,
-                         ids=[f"README.md:{line}" for line, _ in BLOCKS])
+                         ids=[f"README.md#{n}" for n in range(1, len(BLOCKS) + 1)])
 def test_readme_python_block_runs(line, source):
     exec(compile(source, str(README), "exec"), {})

@@ -124,38 +124,44 @@ def test_planted_order_24_mines_like_the_oracle_on_the_coder_path(monkeypatch):
         OracleConfig(max_len=12))
 
 
-def _per_group_is_the_dict(counts, candidates, group):
-    assert len(counts.per_group) == counts.groups
-    assert counts.per_group[group].tolist() == [counts[x] for x in candidates]
-
-
 @pytest.mark.parametrize("table_max", [1 << 22, 0],
                          ids=["closed-form", "coder-path"])
-def test_kt_per_group_holds_each_groups_count(table_max, monkeypatch):
-    # the closed form, and the coder path when the table is over budget
+def test_kt_groups_are_counted_only_in_closed_form(table_max, monkeypatch):
+    # the closed form counts each signature group once, and each member
+    # takes its group's count; the coder path (the table over budget)
+    # counts each candidate on its own
     monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table_max)
     T = gen_random(8, (20, 30), 3)
     candidates = [format(v, "06b") for v in range(64)]
     groups = ktbatch.string_groups(2, candidates)
-    counts = support(KTBackend(2), OccurrenceParams(c1=0.6, c2=0.3), T,
-                     candidates, groups)
-    assert (counts.occurrences is None) == (table_max > 0)
-    assert counts.groups < len(candidates)
-    _per_group_is_the_dict(counts, candidates, groups.group)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    counts = support(KTBackend(2), params, T, candidates, groups)
+    closed = table_max > 0
+    assert (counts.occurrences is None) == closed
+    assert len(groups.first) < len(candidates)
+    assert counts.groups == (len(groups.first) if closed else len(candidates))
+    assert counts == {x: frequency(KTBackend(2), params, T, x)
+                      for x in candidates}
+    assert not counts.near.any()
+    first = [candidates[i] for i in groups.first.tolist()]
+    assert [counts[x] for x in candidates] == [
+        counts[first[g]] for g in groups.group.tolist()]
 
 
 @pytest.mark.parametrize("backend", [LZBackend(), ExternalBackend("cat")],
                          ids=["lz", "external"])
-def test_per_group_holds_each_distinct_candidates_count(backend):
+def test_each_candidate_is_its_own_group(backend):
+    # a repeated candidate is counted again, as a group of its own
     T = gen_random(6, (20, 30), 3)
-    candidates = ["0110", "1", "0110", "00", "1011", "1"]
-    counts = support(backend, OccurrenceParams(c1=0.6, c2=0.3), T,
-                     candidates)
-    # each distinct candidate is a group, numbered in order of first sight
-    number = {}
-    group = [number.setdefault(x, len(number)) for x in candidates]
-    assert counts.groups == 4
-    _per_group_is_the_dict(counts, candidates, group)
+    params = OccurrenceParams(c1=0.6, c2=0.3)
+    candidates = ["0110", "1", "0110", "00", "0110011", "1", "00"]
+    counts = support(backend, params, T, candidates)
+    assert counts.groups == len(counts.occurrences) == len(candidates)
+    assert counts == {x: frequency(backend, params, T, x) for x in candidates}
+    assert len(set(counts.values())) > 1
+    assert counts.occurrences[0] == counts.occurrences[2]
+    assert [len(ts) for ts in counts.occurrences] == [counts[x]
+                                                     for x in candidates]
 
 
 class _ScannedCounts(dict):
@@ -240,6 +246,139 @@ def test_additive_boundary_decided_like_occurs(order):
                              math.nextafter(extra, math.inf))]
         flips += decided[0] != decided[2]
     assert flips > 0
+
+
+# Two transactions on which members of one KT order-3 signature group
+# straddle a bound: their L(x) (or extra costs) differ by rounding, and the
+# thresholds put the entropy (or noise) bound exactly on the smaller value.
+GROUP_EDGE = ["0110100110010110" * 4, "0011101001011100011010111" * 6]
+
+
+@pytest.mark.parametrize("params", [
+    OccurrenceParams(variant="additive", c3=36.73830516120686, c4=1e6),
+    OccurrenceParams(c1=0.3059201658912567, c2=0.99)],
+    ids=["additive", "scale-free"])
+def test_group_members_across_an_entropy_bound_count_like_frequency(params):
+    # two groups of two, in ascending order, whose members' L(x) are
+    # 16.192645077942398 and ...394 (first group) and ...394 and ...398;
+    # the bound in the first transaction is the smaller value, so in each
+    # group the first member decides otherwise than the second
+    backend, T = KTBackend(3), TransactionSet(GROUP_EDGE)
+    xs = ["01101011111110", "01111111010110", "10000000101001",
+          "10010100000001"]
+    assert ktbatch.string_groups(3, xs).group.tolist() == [0, 0, 1, 1]
+    expected = {x: frequency(backend, params, T, x) for x in xs}
+    assert expected == {"01101011111110": 1, "01111111010110": 2,
+                        "10000000101001": 2, "10010100000001": 1}
+    assert support(backend, params, T, xs) == expected
+    assert support(backend, params, T, xs[::-1]) == expected
+    mined = mine(backend, params, T, MiningConfig(
+        epsilon=1, step_bits=2, max_level=6)).as_dict()
+    assert {x: mined[x] for x in xs} == expected
+    found = enumerate_frequent(backend, params, T, 1, OracleConfig(max_len=14))
+    assert {x: found[x] for x in xs} == expected
+
+
+def test_group_members_across_the_noise_bound_count_like_frequency():
+    # extra costs after the first transaction 9.811997522012168 and ...167,
+    # the bound the smaller
+    backend, T = KTBackend(3), TransactionSet(GROUP_EDGE)
+    params = OccurrenceParams(variant="additive", c3=1e-9, c4=9.811997522012167)
+    xs = ["01101110", "01110110"]
+    groups = ktbatch.string_groups(3, xs)
+    assert groups.group[0] == groups.group[1]
+    expected = {x: frequency(backend, params, T, x) for x in xs}
+    assert expected == {"01101110": 1, "01110110": 2}
+    for order in (xs, xs[::-1]):
+        counts = support(backend, params, T, order)
+        assert counts == expected
+        assert counts.near.all()  # recounted by the coder
+    mined = mine(backend, params, T, MiningConfig(
+        epsilon=1, step_bits=2, max_level=3)).as_dict()
+    assert {x: mined[x] for x in xs} == expected
+    found = enumerate_frequent(backend, params, T, 1, OracleConfig(max_len=8))
+    assert {x: found[x] for x in xs} == expected
+
+
+def _land(bound, target, c):
+    """``c`` moved by at most 8 ulps, so that ``bound(c) == target``."""
+    near, down, up = [c], c, c
+    for _ in range(8):
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+        near += [down, up]
+    landed = [v for v in near if bound(v) == target]
+    assert landed, (target, c)
+    return landed[0]
+
+
+def _thresholds(variant, side, target, len_y, other):
+    """Params whose entropy (or noise, by ``side``) bound after a
+    transaction of L(y) ``len_y`` is exactly ``target``, and whose other
+    bound there is about ``other``."""
+    if variant == "scale-free":
+        c = _land(lambda c: c * len_y, target, target / len_y)
+        return (OccurrenceParams(c1=c, c2=other / len_y) if side == "entropy"
+                else OccurrenceParams(c1=other / len_y, c2=c))
+    if side == "entropy":
+        return OccurrenceParams(variant="additive", c4=other, c3=_land(
+            lambda c: len_y - c, target, len_y - target))
+    return OccurrenceParams(variant="additive", c3=len_y - other, c4=target)
+
+
+_ZERO_RUNS = ["0" * 30 + "1" + "0" * 30, "0" * 12 + "1" + "0" * 40 + "1" + "0" * 8]
+# (transactions, the one the bound is set in, two candidates) per backend
+# and side.  At KT orders 0-3 the two share a signature group and their
+# values there differ by rounding; at order 9 (the coder path) a group of
+# two needs 20 bits, and its values are equal; LZ has no groups.
+_ON_A_VALUE = {
+    (0, "entropy"): (GROUP_EDGE, 0, ["00000001111", "00000011101"]),
+    (0, "noise"): (GROUP_EDGE, 1, ["000001110", "000000111"]),
+    (1, "entropy"): (GROUP_EDGE, 0, ["00000010100", "00000001010"]),
+    (1, "noise"): (GROUP_EDGE, 1, ["00000100", "00000010"]),
+    (2, "entropy"): (GROUP_EDGE, 0, ["0100000011101", "0101110000001"]),
+    (2, "noise"): (GROUP_EDGE, 0, ["000100", "001000"]),
+    (3, "entropy"): (GROUP_EDGE, 0, ["01111111010110", "01101011111110"]),
+    (3, "noise"): (GROUP_EDGE, 1, ["01001010", "01010010"]),
+    (9, "entropy"): (_ZERO_RUNS, 1, ["0" * 10 + "1" + "0" * 9,
+                                     "0" * 9 + "1" + "0" * 10]),
+    (9, "noise"): (_ZERO_RUNS, 1, ["0" * 10 + "1" + "0" * 9,
+                                   "0" * 9 + "1" + "0" * 10]),
+    ("lz", "entropy"): (GROUP_EDGE, 0, ["00000000", "00000010"]),
+    ("lz", "noise"): (GROUP_EDGE, 0, ["00100100", "00101000"]),
+}
+
+
+@pytest.mark.parametrize("side", ["entropy", "noise"])
+@pytest.mark.parametrize("variant", ["scale-free", "additive"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 9, "lz"])
+def test_bound_on_a_computed_value_counts_like_frequency(order, variant, side):
+    # c1/c3 (entropy) or c2/c4 (noise) set so that the bound after one
+    # transaction is exactly the smaller candidate's L(x) (``code_len``) or
+    # extra cost (``extend_cost``); LZ costs are integers, so its bound
+    # also lies half a bit above it.  Every count of ``support`` and of
+    # ``mine`` must be ``frequency``'s.
+    items, t, xs = _ON_A_VALUE[order, side]
+    backend = LZBackend() if order == "lz" else KTBackend(order)
+    T = TransactionSet(items)
+    state, len_y = T.cached(backend).states[t], T.cached(backend).lengths[t]
+    L = [backend.code_len(x) for x in xs]
+    extra = [backend.extend_cost(state, x) for x in xs]
+    values, others = (L, extra) if side == "entropy" else (extra, L)
+    if order != "lz":
+        groups = ktbatch.string_groups(order, xs)
+        assert groups.group[0] == groups.group[1]
+    targets = [min(values)] + [min(values) + 0.5] * (order == "lz")
+    for target in targets:
+        params = _thresholds(variant, side, target, len_y, max(others) + 1)
+        expected = {x: frequency(backend, params, T, x) for x in xs}
+        if order != 9:  # the bound splits the two
+            assert expected[xs[0]] != expected[xs[1]]
+        assert support(backend, params, T, xs) == expected
+        assert support(backend, params, T, xs[::-1]) == expected
+        mined = mine(backend, params, T, MiningConfig(
+            epsilon=1, step_bits=2, max_level=(len(xs[0]) - 1) // 2)).as_dict()
+        assert {x: mined.get(x, 0) for x in xs} == expected
+        assert mined == {x: frequency(backend, params, T, x) for x in mined}
 
 
 def _long_boundary_pairs(backend, rng):
