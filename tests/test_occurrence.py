@@ -329,6 +329,21 @@ def test_candidates_are_priced_without_a_coder_state(backend, monkeypatch):
     assert occurrence.code_strings(backend, xs) == expected
 
 
+def test_lz_support_counts_each_distinct_candidate_once(lz,
+                                                       fixture_transactions):
+    # a repeated candidate is counted again, like its first copy: the counts
+    # and occurrence lists equal those of the distinct candidates alone
+    T = fixture_transactions
+    xs = ["01", "0110", "01", "1", "0110", "01"]
+    distinct = list(dict.fromkeys(xs))
+    counts = support(lz, SCALE, T, xs)
+    once = support(lz, SCALE, T, distinct)
+    assert counts == once == {x: frequency(lz, SCALE, T, x) for x in xs}
+    assert len(set(counts.values())) > 1
+    assert counts.occurrences == [once.occurrences[distinct.index(x)]
+                                  for x in xs]
+
+
 def _reads_own_phrase(state, bits):
     """Does an LZ parse of ``bits`` after ``state`` walk into a phrase that
     it added itself?"""

@@ -150,8 +150,9 @@ def test_kt_groups_are_counted_only_in_closed_form(table_max, monkeypatch):
 
 @pytest.mark.parametrize("backend", [LZBackend(), ExternalBackend("cat")],
                          ids=["lz", "external"])
-def test_each_candidate_is_its_own_group(backend):
-    # a repeated candidate is counted again, as a group of its own
+def test_per_group_holds_each_distinct_candidates_count(backend):
+    # each candidate is a group of its own; a repeated candidate is counted
+    # again and holds its first copy's count
     T = gen_random(6, (20, 30), 3)
     params = OccurrenceParams(c1=0.6, c2=0.3)
     candidates = ["0110", "1", "0110", "00", "0110011", "1", "00"]
