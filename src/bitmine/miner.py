@@ -169,9 +169,7 @@ def _run_level(backend, params, T, config, candidates, frontier, level, start):
     coder, patterns, lists = frontier
     per_parent = len(candidates) // len(patterns)
     if coder is None:
-        coded = code_strings(backend, candidates)
-        # the candidates are distinct, so ``coded`` lists them in their order
-        lengths = np.fromiter(coded.values(), float, len(coded))
+        lengths = code_strings(backend, candidates)
     else:
         first = len(patterns[0])  # its children come first
         children = ktbatch.code_level(
@@ -180,6 +178,7 @@ def _run_level(backend, params, T, config, candidates, frontier, level, start):
     kept_at = _prefilter(backend, params, candidates, T.max_code_len(backend),
                          lengths)
     kept = [candidates[i] for i in kept_at.tolist()]
+    coded = lengths[kept_at]
     if coder is not None:
         if len(kept) < len(candidates):  # else narrowing only costs time
             children = ktbatch.narrow(children, kept_at)

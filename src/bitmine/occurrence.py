@@ -34,6 +34,7 @@ non-monotone external adapter on every transaction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,30 +196,36 @@ def _bounds(params, coded):
 
 class Support(dict):
     """{x: support count} as returned by ``support``, with the work done:
-    ``groups`` groups were counted, over ``pairs``
-    (group, transaction) pairs whose extra cost was evaluated.
-    ``occurrences`` holds, per candidate, the ascending indices of the
-    transactions it occurs in, or None from the KT closed form.  ``near``
-    flags the candidates that a pair near a bound sent to the sequential
-    coder: another string of their signature group may count otherwise."""
+    ``groups`` groups were counted, over ``pairs`` (group, transaction)
+    pairs whose extra cost was evaluated.  ``occurrences`` holds, per
+    candidate, the ascending indices of the transactions it occurs in, or
+    None from the KT closed form.  ``near`` flags the members of the KT
+    groups that rounding may split (see ``support``): another string of
+    their signature group may count otherwise."""
     groups = 0
     pairs = 0
     occurrences = None
     near = None
 
 
-def code_strings(backend, xs) -> dict:
-    """{x: L(x)}, each x priced once, from scratch, by ``backend.code_len``,
-    so no coder state is built.  An ``LZBackend`` prices every x at once
-    instead, in numpy (``lzbatch.lengths``); its costs are integers, so
-    they are the same floats.
+def code_strings(backend, xs) -> np.ndarray:
+    """L(x) of each x, in order, each priced from scratch by
+    ``backend.code_len``, so no coder state is built.  An ``LZBackend``
+    prices every x at once instead, in numpy (``lzbatch.lengths``); its
+    costs are integers, so they are the same floats.
     """
     if isinstance(backend, LZBackend):
         from . import lzbatch  # loaded on first use: only LZ needs it
 
-        xs = list(xs)
-        return dict(zip(xs, map(float, lzbatch.lengths(xs).tolist())))
-    return {x: backend.code_len(x) for x in xs}
+        return lzbatch.lengths(list(xs)).astype(float)
+    return np.fromiter(map(backend.code_len, xs), float)
+
+
+def _margin(m: int, bound: float) -> float:
+    """A bound on the gap between the L(x) of two m-bit members of one KT
+    group, L(x) about ``bound``: a sum of m steps, each within 3u = 3 * 2**-53
+    of log2(2m + 2), errs by <= m u (3 log2(2m + 2) + L(x)) (Higham 1993)."""
+    return REDECIDE_TOL + m * 2.0 ** -52 * (3 * math.log2(2 * m + 2) + bound)
 
 
 def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
@@ -228,14 +235,15 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
 
     ``coded`` gives each candidate's L(x): its ``ktbatch.Groups`` for a
     ``KTBackend`` (default ``ktbatch.string_groups``, after checking the
-    candidates), else {x: L(x)} (default ``code_strings``).  Up to KT
+    candidates), else an array (default ``code_strings``).  Up to KT
     order ``_KT_MAX_ORDER``, while (2 << order) x |T| fits
     ``_KT_TABLE_MAX``, the signature groups are counted in closed form,
-    each once, on every transaction; the coder recounts every member of a
-    group with a pair near the noise bound, and every member with an
-    entropy bound between its L(x) and its first member's.  This is the
-    one place that chooses the KT count path and that reads the groups.
-    Otherwise each candidate is counted on its own, parent by parent: by
+    each once, on every transaction, and the coder recounts every member
+    of a group that rounding may split (``Support.near``, on either path):
+    with a pair near the noise bound, or a first member whose L(x) lies
+    within ``_margin`` of an entropy bound.  This is the one place that
+    chooses the KT count path and that makes these two tests.  Otherwise
+    each candidate is counted on its own, parent by parent: by
     ``_lz_support`` for an ``LZBackend``, else by ``_count_by_parent``.
     ``parents`` is (patterns, their occurrence lists: the ascending
     indices of the transactions each occurs in, None for all, and each
@@ -247,38 +255,39 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     kt = isinstance(backend, KTBackend)
     if coded is None:
         candidates = [bitutil.check(x, "pattern") for x in candidates]
+    if not candidates:
+        return Support()
+    if coded is None:
         coded = (ktbatch.string_groups(backend.order, candidates) if kt
                  else code_strings(backend, candidates))
-    lens = (coded.length if kt else np.fromiter(
-        map(coded.__getitem__, candidates), float, len(candidates)))
     cache = T.cached(backend)
     bounds = _bounds(params, cache)
-    n_t = len(cache.items)
     if parents is None or not backend.monotone:
         parents = [""], [None], np.zeros(len(candidates), dtype=np.intp)
-    if (kt and candidates and n_t and backend.order <= _KT_MAX_ORDER
-            and (2 << backend.order) * n_t <= _KT_TABLE_MAX):
-        counts, near = _kt_support(backend.order, cache, coded.reps, bounds)
-        counts, near = counts[coded.group], near[coded.group]
-        # a member whose L(x) differs from its first member's by rounding,
-        # with an entropy bound in between
-        lead, entropy = lens[coded.first][coded.group], np.sort(bounds[0])
-        apart = np.flatnonzero(lens != lead)
-        near[apart] |= (np.searchsorted(entropy, lens[apart])
-                        != np.searchsorted(entropy, lead[apart]))
-        groups, pairs, found = len(coded.first), len(coded.first) * n_t, None
+    if kt:  # the groups whose members' L(x) may lie across an entropy bound
+        m, entropy = max(map(len, candidates)), np.sort(bounds[0])
+        lead, margin = coded.reps.length, _margin(m, entropy.max(initial=0.0))
+        edge = (np.searchsorted(entropy, lead - margin)
+                != np.searchsorted(entropy, lead + margin, "right"))
+    if (kt and len(T) and backend.order <= _KT_MAX_ORDER
+            and (2 << backend.order) * len(T) <= _KT_TABLE_MAX):
+        counts, near = _kt_support(backend.order, cache, coded.reps, bounds, m)
+        counts, near = counts[coded.group], (near | edge)[coded.group]
+        groups, pairs, found = len(coded.first), len(coded.first) * len(T), None
         again = np.flatnonzero(near)
         if len(again):
             recount, more, _ = _count_by_parent(
                 backend, bounds, cache, [candidates[i] for i in again.tolist()],
-                lens[again], (*parents[:2], parents[2][again]))
+                coded.length[again], (*parents[:2], parents[2][again]))
             counts[again] = [len(ts) for ts in recount]
             pairs += more
         counts = counts.tolist()
     else:
         count = _lz_support if isinstance(backend, LZBackend) else _count_by_parent
-        found, pairs, near = count(backend, bounds, cache, candidates, lens,
-                                   parents)
+        found, pairs, near = count(backend, bounds, cache, candidates,
+                                   coded.length if kt else coded, parents)
+        if kt:
+            near |= edge[coded.group]
         groups, counts = len(candidates), [len(ts) for ts in found]
     result = Support(zip(candidates, counts))
     result.groups, result.pairs = groups, pairs
@@ -370,11 +379,11 @@ def _kt_counts(coded: _Coded, order: int):
     return coded.kt
 
 
-def _kt_support(order: int, coded: _Coded, firsts, bounds):
+def _kt_support(order: int, coded: _Coded, firsts, bounds, max_x: int):
     """Closed-form counts of signature groups, and which groups have a
     pair near the noise bound, from the groups' first members, their
-    ``ktbatch.Frontier`` ``firsts`` (``Groups.reps``), and the
-    transactions' ``bounds`` (``_bounds``).
+    ``ktbatch.Frontier`` ``firsts`` (``Groups.reps``), the transactions'
+    ``bounds`` (``_bounds``) and the longest member's length ``max_x``.
 
     The extra cost of x after y is a sum over contexts of the KT block cost
     of x's increments (d0, d1) on y's counts (c0, c1).  Increments of the
@@ -388,9 +397,6 @@ def _kt_support(order: int, coded: _Coded, firsts, bounds):
     n_t = len(coded.states)
     n_groups = len(firsts.length)
     names = firsts.names
-    # the longest member: the bits of its head, then one per window
-    windows = np.bincount(firsts.rows[0], firsts.rows[2] + firsts.rows[3], n_groups)
-    max_x = int((windows + np.array(list(map(len, names)))[firsts.head]).max())
 
     # Columns are the contexts any group touches, by id: those of the
     # groups' bodies (full length) and of their heads' steps after every

@@ -10,16 +10,16 @@ carry over from class to class too: a string's signature is its prefix's
 plus one window, so a class's groups follow from the previous class's
 (``ktbatch.class_groups`` merges the combinations of equal signature),
 each string keeps only its group's number, and each signature is counted
-once per class, by its first kept member, and only the members rounding
-may set apart are counted on their own.  Only frequent strings and those
-are formatted.  Every other backend prices each string with
-``occurrence.code_strings`` (``code_len``, no coder state; LZ a chunk
-of strings at once, in numpy) and counts it on its own.  The result keeps
-the L(x) it coded (``Frequent.code_len``) for ``oracle --out``, and what
-each class did (``Frequent.stats``).
-Supports come from the same ``occurrence.support`` kernel the miner uses;
-that kernel is checked against the sequential ``occurrence.frequency`` in
-the tests.
+once per class, by its first kept member; only the other members of the
+groups that ``Support.near`` flags, which rounding may split, are counted
+on their own.  Only frequent strings and those are formatted.  Every
+other backend prices each string with ``occurrence.code_strings``
+(``code_len``, no coder state; LZ a chunk of strings at once, in numpy)
+and counts it on its own.  The result keeps the L(x) it coded
+(``Frequent.code_len``) for ``oracle --out``, and what each class did
+(``Frequent.stats``).  Supports come from the same ``occurrence.support``
+kernel the miner uses; that kernel is checked against the sequential
+``occurrence.frequency`` in the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from . import bits as bitutil
 from .codelength import KTBackend
 from .ktbatch import class_bodies, class_groups, class_lengths
-from .occurrence import (REDECIDE_TOL, OccurrenceParams, TransactionSet,
-                         _bounds, code_strings, support)
+from .occurrence import (OccurrenceParams, TransactionSet, code_strings,
+                         support)
 
 # Strings of one length class coded (and grouped) at a time, and groups
 # counted per support call; bounds memory.
@@ -136,12 +136,13 @@ def _classes(backend, params, T, epsilon, bound, max_len):
         strings = bitutil.all_of_length(length)
         while chunk := list(islice(strings, _CHUNK)):
             coded = code_strings(backend, chunk)
-            min_code_len = min(min_code_len, *coded.values())
+            min_code_len = min(min_code_len, coded.min())
             # a string above the bound occurs in no transaction; support 0
-            kept = [x for x in chunk if coded[x] <= bound]
+            at = np.flatnonzero(coded <= bound)
+            kept, coded = [chunk[i] for i in at.tolist()], coded[at]
             counts = support(backend, params, T, kept, coded)
-            frequent += [(x, counts[x], coded[x]) for x in kept
-                         if counts[x] >= epsilon]
+            frequent += [(x, counts[x], length) for x, length
+                         in zip(kept, coded.tolist()) if counts[x] >= epsilon]
             n_kept, groups = n_kept + len(kept), groups + counts.groups
             pairs += counts.pairs
         yield _class_stats(length, n_kept, groups, pairs, min_code_len,
@@ -209,20 +210,19 @@ def _kt_classes(backend: KTBackend, params, T, epsilon, bound, max_len):
     """``_classes`` for a KT backend, with no string per enumerated
     pattern: each class's lengths and signature groups come from the
     previous class's (``_kt_groups``), and ``_kt_count`` counts them."""
-    entropy = np.sort(_bounds(params, T.cached(backend))[0])
     # map, not a loop: no loop variable holds one class's arrays while the
     # next class is built (3.6 MB of max RSS at order 5, 18 bits)
-    count = partial(_kt_count, backend, params, T, epsilon, bound, entropy)
+    count = partial(_kt_count, backend, params, T, epsilon, bound)
     return map(count, _kt_groups(backend.order, bound, max_len))
 
 
-def _kt_count(backend, params, T, epsilon, bound, entropy, classed):
+def _kt_count(backend, params, T, epsilon, bound, classed):
     """A class's ``ClassStats`` and frequent (x, count, L(x)), from its
     lengths, group numbers and groups' first members.  ``support`` counts
     each group by its first kept member, ``_CHUNK`` groups per call.  The
     other members take that count, but those of a group whose first
-    ``Support.near`` flags, or lies within rounding of an entropy bound
-    (``entropy``, ascending), are counted on their own."""
+    ``Support.near`` flags (rounding may split the group) are counted on
+    their own."""
     lengths, group, first = classed
     width = len(lengths).bit_length() - 1
     fmt = f"0{width}b"
@@ -236,15 +236,9 @@ def _kt_count(backend, params, T, epsilon, bound, entropy, classed):
         counts[lo:lo + _CHUNK] = list(got.values())
         near[lo:lo + _CHUNK], pairs = got.near, pairs + got.pairs
     kept = lengths <= bound
-    # a member's L(x) differs from its first member's by rounding, within
-    # ``margin``: only with a bound that near can the two lie across it
-    margin = REDECIDE_TOL + 2 * width * 2.0 ** -52 * bound
-    near |= (np.searchsorted(entropy + margin, lengths[first])
-             != np.searchsorted(entropy - margin, lengths[first]))
-    again = np.zeros(0, dtype=np.intp)  # the members counted on their own
-    if near.any():
-        again = np.flatnonzero(kept & near[group])
-        again = again[first[group[again]] != again]
+    # the other kept members of the near groups, counted on their own
+    again = np.flatnonzero(kept & near[group]) if near.any() else first[:0]
+    again = again[first[group[again]] != again]
     recount = np.zeros(len(again), dtype=np.intp)
     for lo in range(0, len(again), _CHUNK):
         got = support(backend, params, T, [
@@ -256,7 +250,7 @@ def _kt_count(backend, params, T, epsilon, bound, entropy, classed):
         hit[again] = recount >= epsilon
         hit = np.flatnonzero(hit)
         count, on = counts[group[hit]], recount >= epsilon
-        count[np.searchsorted(hit, again[on])] = recount[on]
+        count[np.isin(hit, again[on])] = recount[on]  # both ascend
         frequent = list(zip([format(v, fmt) for v in hit.tolist()],
                             count.tolist(), lengths[hit].tolist()))
     return _class_stats(width, np.count_nonzero(kept), len(first), pairs,

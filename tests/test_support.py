@@ -165,6 +165,16 @@ def test_per_group_holds_each_distinct_candidates_count(backend):
                                                      for x in candidates]
 
 
+@pytest.mark.parametrize("backend", [
+    KTBackend(0), KTBackend(2), KTBackend(12), LZBackend(),
+    ExternalBackend("cat")], ids=["kt0", "kt2", "kt12", "lz", "external:cat"])
+def test_no_candidates_give_an_empty_support(backend):
+    T = gen_random(6, (20, 30), 3)
+    counts = support(backend, OccurrenceParams(c1=0.6, c2=0.3), T, [])
+    assert counts == {}
+    assert counts.groups == counts.pairs == 0
+
+
 class _ScannedCounts(dict):
     """Counts that record every iteration over their contexts."""
     scans = 0
@@ -356,8 +366,9 @@ def test_bound_on_a_computed_value_counts_like_frequency(order, variant, side):
     # c1/c3 (entropy) or c2/c4 (noise) set so that the bound after one
     # transaction is exactly the smaller candidate's L(x) (``code_len``) or
     # extra cost (``extend_cost``); LZ costs are integers, so its bound
-    # also lies half a bit above it.  Every count of ``support`` and of
-    # ``mine`` must be ``frequency``'s.
+    # also lies half a bit above it.  Every count of ``support``, ``mine``
+    # and ``enumerate_frequent`` must be ``frequency``'s; the oracle is
+    # left out at order 9, where its 20-bit classes take seconds.
     items, t, xs = _ON_A_VALUE[order, side]
     backend = LZBackend() if order == "lz" else KTBackend(order)
     T = TransactionSet(items)
@@ -380,6 +391,59 @@ def test_bound_on_a_computed_value_counts_like_frequency(order, variant, side):
             epsilon=1, step_bits=2, max_level=(len(xs[0]) - 1) // 2)).as_dict()
         assert {x: mined.get(x, 0) for x in xs} == expected
         assert mined == {x: frequency(backend, params, T, x) for x in mined}
+        if order == 9:
+            continue
+        found = enumerate_frequent(backend, params, T, 1,
+                                   OracleConfig(max_len=len(xs[0])))
+        assert {x: found.get(x, 0) for x in xs} == expected
+        assert found == {x: frequency(backend, params, T, x) for x in found}
+
+
+@pytest.mark.parametrize("table_max", [1 << 22, 0],
+                         ids=["closed-form", "coder-path"])
+@pytest.mark.parametrize("variant", ["scale-free", "additive"])
+def test_group_members_on_an_entropy_bound_are_near(variant, table_max,
+                                                    monkeypatch):
+    # two members of one order-3 group with equal L(x), an entropy bound
+    # exactly on it: rounding could set such members apart, so on either
+    # path ``Support.near`` flags both, and every count is ``frequency``'s
+    monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", table_max)
+    backend, T = KTBackend(3), TransactionSet(GROUP_EDGE)
+    xs = ["01001010", "01010010"]
+    assert ktbatch.string_groups(3, xs).group.tolist() == [0, 0]
+    L = backend.code_len(xs[0])
+    assert backend.code_len(xs[1]) == L
+    coded = T.cached(backend)
+    extra = max(backend.extend_cost(coded.states[0], x) for x in xs)
+    params = _thresholds(variant, "entropy", L, coded.lengths[0], extra + 1)
+    expected = {x: frequency(backend, params, T, x) for x in xs}
+    assert expected[xs[0]] > 0
+    counts = support(backend, params, T, xs)
+    assert counts == expected
+    assert counts.near.all()
+    mined = mine(backend, params, T, MiningConfig(
+        epsilon=1, step_bits=2, max_level=3)).as_dict()
+    assert {x: mined.get(x, 0) for x in xs} == expected
+    found = enumerate_frequent(backend, params, T, 1, OracleConfig(max_len=8))
+    assert {x: found.get(x, 0) for x in xs} == expected
+
+
+def test_margin_bounds_the_rounding_between_group_members():
+    # a string and a shuffle of it are one KT order-0 signature group;
+    # their L(x) differ by rounding alone, by more than ``REDECIDE_TOL``
+    # on long strings, but never by more than ``_margin``
+    backend, rng = KTBackend(0), random.Random(27)
+    widest = 0.0
+    for n in (1_000, 10_000, 100_000, 400_000):
+        for bias in (0.5, 0.1):
+            x = [rng.random() < bias for _ in range(n)]
+            L = backend.code_len("".join("01"[b] for b in x))
+            for _ in range(2):
+                rng.shuffle(x)
+                gap = abs(backend.code_len("".join("01"[b] for b in x)) - L)
+                assert gap < occurrence._margin(n, L), (n, bias)
+                widest = max(widest, gap)
+    assert widest > occurrence.REDECIDE_TOL
 
 
 def _long_boundary_pairs(backend, rng):
