@@ -4,22 +4,26 @@
 parses many at once, one bit column over all rows: each row continues a
 transaction's LZ78 parse (or the initial state's) by its bits.  The
 transactions' phrase tries are read from one flat table (``tries``,
-cached once per set); the phrases a row adds are kept beside it, one
-column per bit, so no trie is copied and a row's memory does not grow
-with the transaction.  An LZ cost is an integer (the cost of a phrase
-count, ``codelength._lz_cum_cost``), so every cost here ``==`` the
-coder's, and a cost is at most a bound b exactly when it is at most
-floor(b).
+cached once per set), in which a node is named by its slot, where its
+two edges start.  The phrases a row adds are kept beside it, one column
+per bit, and the nodes they make get slots past the table, so no trie is
+copied and a row's memory does not grow with the transaction.  Every
+edge is looked up in y's table; only where that misses are the row's
+phrases searched.  An LZ cost is an integer (the cost of a phrase count,
+``codelength._lz_cum_cost``), so every cost here ``==`` the coder's, and
+a cost is at most a bound b exactly when it is at most floor(b).
 
 - ``extras`` prices the live (child, transaction) pairs of an LZ count
   (``occurrence.support``): each (parent, transaction) pair is parsed
-  once, and each child from there by its suffix.
+  once, and each child from there by its suffix.  A child row holds only
+  its node and its own phrases, and reads its pair's phrases in place.
 - ``lengths`` prices L(x) of many strings, each from the initial state
   (``occurrence.code_strings``).
 
 Work is done in blocks of ``_BLOCK_ELEMENTS`` (row x phrase column)
-entries.  ``occurrence`` imports this module on first use, so that a
-session without LZ does not load it.
+entries: a block of parent rows has a column per bit of the parent, a
+block of child rows one per bit of the suffix.  ``occurrence`` imports
+this module on first use, so that a session without LZ does not load it.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ _BLOCK_ELEMENTS = 1 << 13
 @dataclass
 class Tries:
     """Every transaction's phrase trie as one flat table, and the fields
-    of each transaction's coder state."""
-    child: np.ndarray     # child[at[t] + 2 * node + bit]: 0 where y lacks
-    # the edge; a trailing 0 is read for nodes that y's parse did not make
+    of each transaction's coder state.  A node is named by its slot, 2 *
+    node, where its two edges start in y's rows of ``child``; the root's
+    slot is 0."""
+    child: np.ndarray     # child[at[t] + slot + bit]: the child's slot, 0
+    # where y lacks the edge, and a trailing 0
     at: np.ndarray        # where each transaction's rows start in ``child``
-    nodes: np.ndarray     # next node: y's trie holds the nodes below it
-    node: np.ndarray      # current node
+    node: np.ndarray      # current node's slot
     complete: np.ndarray  # complete phrases
     phrases: np.ndarray   # phrases, an open one included
 
@@ -59,11 +64,11 @@ def tries(coded):
         for offset, state in zip(at, states):
             for (node, ch), child in state.trie.items():
                 edge.append(offset + 2 * node + (ch == "1"))
-                to.append(child)
+                to.append(2 * child)
         child = np.zeros(at[-1] + 1, dtype=np.intp)
         child[edge] = to
         coded.lz = Tries(child, *(np.array(v, dtype=np.intp) for v in (
-            at[:-1], [s.next_node for s in states], [s.node for s in states],
+            at[:-1], [2 * s.node for s in states],
             [s.complete for s in states], [s.phrases for s in states])))
     return coded.lz
 
@@ -78,36 +83,49 @@ def _bit_rows(strings, cuts):
     return bits.reshape(len(widths), width), np.array(widths, dtype=np.intp)
 
 
-def _parse(lz: Tries, parse, bits, which, widths, col):
+def _parse(lz: Tries, parse, bits, which, widths, pairs=None):
     """Continue each row's parse, a column at a time, in place, by its
     bits: row i parses the first ``widths[i]`` bits of row ``which[i]`` of
     ``bits``, and ``widths`` descend, so the rows still parsing are a
     prefix.  ``parse`` holds per row its transaction's offset in
-    ``lz.child`` and node count, its node, and the phrases the row added:
-    column c of ``key`` holds the edge 2 * node + bit of the phrase added
-    at bit c, which made node ``nodes + c`` (-1: none); this parse writes
-    columns ``col`` on.  An edge is read from y's table, else from the
-    row's phrases (they never share an edge); a miss ends a phrase, as in
-    ``LZBackend._parse``."""
-    at, nodes, node, key = parse
+    ``lz.child``, its node's slot and its own phrases: column j of ``key``
+    holds the edge (slot + bit) of the phrase the row added at bit j
+    (-1: none).  That phrase made the node of slot ``len(lz.child) +
+    2 * (w + j)``, past every transaction's, so that a lookup from it
+    reads the table's trailing 0.  ``pairs`` is None (w = 0), or, for a
+    child parse, (the key of the parents' parse, each row's pair): a child
+    row reads its pair's w phrase columns there, in place, and holds only
+    its own.  An edge is read from y's table, and only where that misses
+    from the row's phrases, its pair's and its own, whose edges y's
+    table lacks and which never repeat one another; a miss ends a phrase,
+    as in ``LZBackend._parse``."""
+    at, node, key = parse
+    seen, k = (None, None) if pairs is None else pairs
+    w = 0 if seen is None else seen.shape[1]
     # rows with more than j bits, for each column j
     active = len(widths) - np.searchsorted(widths[::-1], np.arange(widths[0]),
                                            "right")
+    bits = bits[which].T  # a row per column j, a column per parse row
     for j, n in enumerate(active.tolist()):
-        here = node[:n]
-        edge = 2 * here + bits[which[:n], j]
-        child = lz.child[np.where(here < nodes[:n], at[:n] + edge, -1)]
-        r, c = np.nonzero(key[:n, :col + j] == edge[:, None])
-        child[r] = nodes[r] + c
-        key[:n, col + j] = np.where(child == 0, edge, -1)
+        edge = node[:n] + bits[j, :n]
+        # "clip": a slot past the table reads its trailing 0
+        child = lz.child.take(at[:n] + edge, mode="clip")
+        miss = np.flatnonzero(child == 0)
+        if len(miss) and w + j:
+            phrases = key[miss, :j]
+            if w:
+                phrases = np.concatenate((seen[k[miss]], phrases), axis=1)
+            hit = phrases == edge[miss, None]
+            c = hit.argmax(1)  # the first match; at most one matches
+            found = hit[np.arange(len(miss)), c]
+            child[miss[found]] = len(lz.child) + 2 * c[found]
+        key[:n, j] = np.where(child == 0, edge, -1)
         node[:n] = child
 
 
 def _phrases(parse):
     """The phrases each row's parse added, an open phrase included."""
-    rows = np.nonzero(parse[3] >= 0)[0]  # a row per phrase added, ascending
-    added = np.diff(np.searchsorted(rows, np.arange(len(parse[2]) + 1)))
-    return np.where(parse[2] != 0, 1, 0) + added
+    return (parse[1] != 0) + np.count_nonzero(parse[2] >= 0, axis=1)
 
 
 def _cum_costs(top: int):
@@ -126,7 +144,7 @@ def _longest_first(widths):
 
 # The initial LZ state as a set of one empty transaction.
 _ROOT = Tries(*(np.array(v, dtype=np.intp) for v in (
-    [0, 0, 0], [0], [1], [0], [0], [0])))
+    [0, 0, 0], [0], [0], [0], [0])))
 
 
 def lengths(xs):
@@ -142,9 +160,9 @@ def lengths(xs):
     for lo in range(0, len(xs), rows):
         g = which[lo:lo + rows]
         zero = np.zeros(len(g), dtype=np.intp)
-        parse = [zero, zero + 1, zero.copy(),
+        parse = [zero, zero.copy(),
                  np.full((len(g), int(widths[g[0]])), -1, dtype=np.intp)]
-        _parse(_ROOT, parse, bits, g, widths[g], 0)
+        _parse(_ROOT, parse, bits, g, widths[g])
         out[g] = cum[_phrases(parse)]
     return out
 
@@ -164,9 +182,13 @@ def extras(bounds, coded, xs, lens, parents):
     (``tries``), and each live child x = p || s then by s from that
     parse.  A parse reads y's table and keeps the phrases it adds beside
     it, at most one per bit of x, so nothing the size of y is copied.
-    (Parent, transaction) pairs are taken in chunks, and their children in
-    blocks, of ``_BLOCK_ELEMENTS`` (row x phrase column) entries.  The
-    pairs of one child come in the order of its parent's list.
+    (Parent, transaction) pairs are taken in chunks of
+    ``_BLOCK_ELEMENTS`` parent phrase columns (pair x bit of p), and their
+    children in blocks of as many child columns (row x bit of s).  A child
+    row holds its node and its own columns only; it reads its pair's row
+    by index where y's table misses, so the rows it gathers at once are
+    bounded by its block's rows x |x|.  The pairs of one child come in the
+    order of its parent's list.
     """
     lz = tries(coded)
     if not xs:
@@ -194,12 +216,13 @@ def extras(bounds, coded, xs, lens, parents):
     top = max(lz.phrases.tolist(), default=0) + max(map(len, xs)) + 1
     cum = _cum_costs(top)
     mixed = min(s_width.tolist()) < s_max  # suffixes of more than one length
-    # a row has a phrase column per bit of x
-    rows = max(1, _BLOCK_ELEMENTS // (int(cut[0]) + s_max))
+    # a parent row has a phrase column per bit of p, a child row per bit of s
+    chunk = _BLOCK_ELEMENTS // max(1, int(cut[0])) or 1
+    rows = _BLOCK_ELEMENTS // s_max or 1
 
     start = [0, *accumulate(map(len, occs))]
-    for lo in range(0, start[-1], rows):
-        hi = min(lo + rows, start[-1])
+    for lo in range(0, start[-1], chunk):
+        hi = min(lo + chunk, start[-1])
         pieces = [(i, occs[i][max(lo - start[i], 0):hi - start[i]])
                   for i in range(bisect_right(start, lo) - 1,
                                  bisect_left(start, hi))]
@@ -214,9 +237,12 @@ def extras(bounds, coded, xs, lens, parents):
             continue
         end = np.cumsum(live)
         p_width = int(cut[pair_p[0]])  # the chunk's longest parent
-        parse = [lz.at[pair_t], lz.nodes[pair_t], lz.node[pair_t],
-                 np.full((len(live), p_width + s_max), -1, dtype=np.intp)]
-        _parse(lz, parse, p_bits, pair_p, cut[pair_p], 0)
+        parse = [lz.at[pair_t], lz.node[pair_t],
+                 np.full((len(live), p_width), -1, dtype=np.intp)]
+        _parse(lz, parse, p_bits, pair_p, cut[pair_p])
+        # complete phrases after y || p: y's, and each phrase p added
+        complete = (lz.complete[pair_t]
+                    + np.count_nonzero(parse[2] >= 0, axis=1))
         for r0 in range(0, int(end[-1]), rows):
             r = np.arange(r0, min(r0 + rows, int(end[-1])))
             k = np.searchsorted(end, r, "right")  # each child row's pair
@@ -224,8 +250,8 @@ def extras(bounds, coded, xs, lens, parents):
             if mixed:
                 o = _longest_first(s_width[g])
                 g, k = g[o], k[o]
-            state = [column[k] for column in parse]
-            _parse(lz, state, s_bits, g, s_width[g], p_width)
             t = pair_t[k]
-            phrases = lz.complete[t] + _phrases(state)
-            yield g, t, cum[phrases] - cum[lz.phrases[t]]
+            state = [parse[0][k], parse[1][k],
+                     np.full((len(k), s_max), -1, dtype=np.intp)]
+            _parse(lz, state, s_bits, g, s_width[g], (parse[2], k))
+            yield g, t, cum[complete[k] + _phrases(state)] - cum[lz.phrases[t]]

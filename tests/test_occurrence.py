@@ -344,20 +344,24 @@ def test_lz_support_counts_each_distinct_candidate_once(lz,
                                   for x in xs]
 
 
-def _reads_own_phrase(state, bits):
-    """Does an LZ parse of ``bits`` after ``state`` walk into a phrase that
-    it added itself?"""
-    new, node, nxt, hit = {}, state.node, state.next_node, False
-    for ch in bits:
+def _reads_own_phrase(state, bits, cut=0):
+    """Where does an LZ parse of ``bits`` after ``state`` walk into a phrase
+    that it added itself, at a bit from ``cut`` on?  The set of kinds:
+    "parent" for a phrase added by ``bits[:cut]``, "own" for one added
+    from ``cut`` on (empty: nowhere)."""
+    new, node, nxt, kinds = {}, state.node, state.next_node, set()
+    for i, ch in enumerate(bits):
         key = (node, ch)
         child = state.trie.get(key)
         if child is None and key in new:
-            child, hit = new[key], True
+            child, added = new[key]
+            if i >= cut:
+                kinds.add("parent" if added < cut else "own")
         if child is None:
-            new[key], nxt, node = nxt, nxt + 1, 0
+            new[key], nxt, node = (nxt, i), nxt + 1, 0
         else:
             node = child
-    return hit
+    return kinds
 
 
 class TestLZKernel:
@@ -404,6 +408,75 @@ class TestLZKernel:
                                     OccurrenceParams(c1=0.99, c2=0.5))
         assert any(_reads_own_phrase(coded.states[y], xs[i])
                    for i, y in priced)
+
+    def test_parents_of_different_lengths_share_a_chunk(self, monkeypatch):
+        # the chunk's child rows name their phrases from the longest
+        # parent's width on, past a shorter parent's own last phrase
+        widths = []
+
+        def spy(lz, parse, bits, which, widths_, pairs=None):
+            if lz is not lzbatch._ROOT and pairs is None:
+                widths.append(sorted(set(widths_.tolist())))
+            return parse_(lz, parse, bits, which, widths_, pairs)
+
+        parse_ = lzbatch._parse
+        monkeypatch.setattr(lzbatch, "_parse", spy)
+        items = ["0", "1", "0110", "0" * 40, "0110100110010110" * 3,
+                 "110110" * 4]
+        parents = ("1", "0101", "110110")
+        xs = [p + s for p in parents for n in (1, 2, 3)
+              for s in bitutil.all_of_length(n)]
+        for params in (OccurrenceParams(c1=0.99, c2=0.5), ADDITIVE):
+            widths.clear()
+            self._check(items, xs, {x: p for p in parents
+                                    for x in xs if x.startswith(p)}, params)
+            assert widths == [[1, 4, 6]]  # one chunk, every parent in it
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 40, 1 << 13])
+    def test_a_pairs_children_across_child_blocks(self, block, monkeypatch):
+        # each child row reads its pair's phrases by index, in whichever
+        # block it lands; small blocks split one pair's children
+        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", block)
+        rows = []
+
+        def spy(lz, parse, bits, which, widths, pairs=None):
+            if pairs is not None:  # the chunk's parents' key, and each pair
+                rows.append((pairs[0], pairs[1].tolist()))
+            return parse_(lz, parse, bits, which, widths, pairs)
+
+        parse_ = lzbatch._parse
+        monkeypatch.setattr(lzbatch, "_parse", spy)
+        items = gen_random(7, (16, 48), 11).items
+        rng = random.Random(block)
+        parents = list(dict.fromkeys(random_bits(rng, 2, 6) for _ in range(4)))
+        xs = [p + s for p in parents for n in (1, 2, 3)
+              for s in bitutil.all_of_length(n)]
+        self._check(items, xs, {x: p for p in parents
+                                for x in xs if x.startswith(p)},
+                    OccurrenceParams(c1=0.99, c2=0.9))
+        # a pair whose children span two child blocks of its chunk
+        split = any(a is b and ks[-1] == next_ks[0]
+                    for (a, ks), (b, next_ks) in zip(rows, rows[1:]))
+        assert split == (block != 1 << 13)
+
+    @pytest.mark.parametrize("step", [2, 3, 4])
+    def test_child_steps_find_parent_and_own_phrases(self, step):
+        # a child step that misses y's table may walk into a phrase its
+        # pair's parse added; after y = 0^24 and p = 0000 the suffix 11
+        # adds the root's 1-edge and walks into it (and so after 1^30)
+        items = [*gen_random(8, (20, 60), 40 + step).items, "0" * 24, "1" * 30]
+        rng = random.Random(100 + step)
+        parents = list(dict.fromkeys([random_bits(rng, 3, 8) for _ in range(8)]
+                                     + ["0000", "111111"]))
+        of = {p + s: p for p in parents for s in bitutil.all_of_length(step)}
+        xs = list(of)
+        for params in (OccurrenceParams(c1=0.99, c2=0.9),
+                       OccurrenceParams(variant="additive", c3=0.5, c4=40.0)):
+            coded, priced = self._check(items, xs, of, params)
+            kinds = set().union(*(
+                _reads_own_phrase(coded.states[y], xs[i], len(of[xs[i]]))
+                for i, y in priced))
+            assert kinds == {"parent", "own"}
 
     def test_one_bit_transactions_lack_root_edges(self):
         xs = ["0", "1", "00", "01", "10", "11", "0101", "1110"]
