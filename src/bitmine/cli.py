@@ -245,7 +245,14 @@ def _cmd_oracle(args) -> int:
         _write_stats(args.stats, exc.stats)
         raise
     _write_stats(args.stats, found.stats)
-
+    # a diff alone prints only its verdict; --out is written either way
+    if args.out is not None or args.diff is None:
+        header = _backend_header(args)
+        header.update(_threshold_header(args))
+        header.update(epsilon=args.epsilon, input=os.path.basename(args.input))
+        records = [FrequentPattern(p, c, found.code_len[p], 0)
+                   for p, c in found.items()]
+        _write(args.out, textio.format_result(records, header))
     if args.diff is not None:
         records, _ = textio.parse_result(textio.read_text(args.diff))
         mined = {pattern: count for pattern, count, _, _ in records}
@@ -263,13 +270,6 @@ def _cmd_oracle(args) -> int:
             print(f"  {p}: oracle={found.get(p)} mined={mined.get(p)}",
                   file=sys.stderr)
         return EXIT_DATA
-
-    header = _backend_header(args)
-    header.update(_threshold_header(args))
-    header.update(epsilon=args.epsilon, input=os.path.basename(args.input))
-    records = [FrequentPattern(p, c, found.code_len[p], 0)
-               for p, c in found.items()]
-    _write(args.out, textio.format_result(records, header))
     return EXIT_OK
 
 

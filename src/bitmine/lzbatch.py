@@ -10,34 +10,32 @@ per bit, and the nodes they make get slots past the table, so no trie is
 copied and a row's memory does not grow with the transaction.  Every
 edge is looked up in y's table; only where that misses are the row's
 phrases searched.  An LZ cost is an integer (the cost of a phrase count,
-``codelength._lz_cum_cost``), so every cost here ``==`` the coder's, and
-a cost is at most a bound b exactly when it is at most floor(b).
+``codelength._lz_cum_cost``), so every cost here ``==`` the coder's.
 
-- ``extras`` prices the live (child, transaction) pairs of an LZ count
-  (``occurrence.support``): each (parent, transaction) pair is parsed
-  once, and each child from there by its suffix.  A child row holds only
-  its node and its own phrases, and reads its pair's phrases in place.
+- ``extras`` prices the live (child, transaction) pairs of an LZ count,
+  as ``occurrence._per_parent`` plans them and makes the noise test on
+  them: each (parent, transaction) pair is parsed once, and each child
+  from there by its suffix.  A child row holds only its node and its own
+  phrases, and reads its pair's phrases in place.
 - ``lengths`` prices L(x) of many strings, each from the initial state
   (``occurrence.code_strings``).
 
-Work is done in blocks of ``_BLOCK_ELEMENTS`` (row x phrase column)
-entries: a block of parent rows has a column per bit of the parent, a
-block of child rows one per bit of the suffix.  ``occurrence`` imports
-this module on first use, so that a session without LZ does not load it.
+Work is done in blocks of ``occurrence._BLOCK_ELEMENTS`` (row x phrase
+column) entries, read at each call: the planner's chunks of parent rows
+have a column per bit of the parent, a block of child rows one per bit
+of the suffix.  ``occurrence`` imports this module on first use, so that
+a session without LZ does not load it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
+from . import occurrence
 from .codelength import _lz_cum_cost
-
-# Entries (row x phrase column) of one block; bounds the working memory.
-_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass
@@ -150,13 +148,13 @@ _ROOT = Tries(*(np.array(v, dtype=np.intp) for v in (
 def lengths(xs):
     """L(x) of each x, ``==`` ``LZBackend.code_len(x)``: each x is parsed
     from the initial state, as ``extras`` parses a child after a
-    transaction (here an empty one), in blocks of ``_BLOCK_ELEMENTS``
-    (string x bit) entries."""
+    transaction (here an empty one), in blocks of
+    ``occurrence._BLOCK_ELEMENTS`` (string x bit) entries."""
     bits, widths = _bit_rows(xs, repeat(0))
     which = _longest_first(widths)
     cum = _cum_costs(bits.shape[1])  # at most one phrase per bit
     out = np.zeros(len(xs), dtype=np.intp)
-    rows = max(1, _BLOCK_ELEMENTS // max(1, bits.shape[1]))
+    rows = max(1, occurrence._BLOCK_ELEMENTS // max(1, bits.shape[1]))
     for lo in range(0, len(xs), rows):
         g = which[lo:lo + rows]
         zero = np.zeros(len(g), dtype=np.intp)
@@ -167,74 +165,33 @@ def lengths(xs):
     return out
 
 
-def extras(bounds, coded, xs, lens, parents):
-    """The live (child, transaction) pairs of an LZ count and their extra
-    costs, a block at a time: (indices into ``xs``, transactions,
-    the integers L(y||x) - L(y)), each ``==`` ``extend_cost(state_y, x)``.
-    ``bounds`` holds the transactions' largest L(x) and largest extra
-    cost as ``occurrence._bounds`` gives them, ``lens`` each L(x), and
-    ``parents`` is (patterns, occurrence lists, each x's parent's index)
-    as ``occurrence.support`` resolves it.
+def extras(coded, plan, chunks):
+    """``occurrence._per_parent``'s pricer for LZ, from its ``plan`` and
+    chunks of live (parent, transaction) pairs: (indices into the x,
+    transactions, the integers L(y||x) - L(y)), a block at a time, each
+    ``==`` ``extend_cost(state_y, x)``.
 
-    For every parent p and transaction y in p's occurrence list where some
-    child of p passes entropy reduction (its live children, the first of
-    p's children by L(x)), y || p is parsed once, from y's phrase table
-    (``tries``), and each live child x = p || s then by s from that
-    parse.  A parse reads y's table and keeps the phrases it adds beside
-    it, at most one per bit of x, so nothing the size of y is copied.
-    (Parent, transaction) pairs are taken in chunks of
-    ``_BLOCK_ELEMENTS`` parent phrase columns (pair x bit of p), and their
-    children in blocks of as many child columns (row x bit of s).  A child
-    row holds its node and its own columns only; it reads its pair's row
-    by index where y's table misses, so the rows it gathers at once are
-    bounded by its block's rows x |x|.  The pairs of one child come in the
-    order of its parent's list.
+    Each pair's y || p is parsed once, from y's phrase table (``tries``),
+    and each of its live children x = p || s then by s from that parse,
+    in blocks of ``occurrence._BLOCK_ELEMENTS`` child columns (row x bit
+    of s).  A parse keeps the phrases it adds beside y's table, at most
+    one per bit of x, so nothing the size of y is copied.  A child row
+    holds its node and its own columns only; it reads its pair's row by
+    index where y's table misses, so the rows it gathers at once are
+    bounded by its block's rows x |x|.
     """
     lz = tries(coded)
-    if not xs:
-        return
-    ps, occs, of = parents
-    by = sorted(range(len(ps)), key=lambda i: -len(ps[i]))  # longest first
-    of = np.argsort(by)[of]
-    ps = [ps[i] for i in by]
-    occs = [range(len(coded.items)) if occ is None else occ
-            for occ in map(occs.__getitem__, by)]
+    xs, ps, of, order = plan
     cut = np.array([len(p) for p in ps], dtype=np.intp)
-    # Children by (parent, L(x)), so a pair's live children come first.
-    # LZ costs are integers, so L(x) <= b exactly when L(x) <= floor(b).
-    lens = np.asarray(lens).astype(np.intp)
-    span = int(lens.max()) + 2
-    order = (of * span + lens).tolist()
-    by_len = sorted(range(len(xs)), key=order.__getitem__)
-    order = np.array(order, dtype=np.intp)[by_len]
-    by_len = np.array(by_len, dtype=np.intp)
-    live_below = np.clip(np.floor(bounds[0]) + 1, 0, span).astype(np.intp)
     p_bits = _bit_rows(ps, repeat(0))[0]
-    s_bits, s_width = _bit_rows(xs, cut[of].tolist())  # each child's suffix
+    s_bits, s_width = _bit_rows(xs, cut[of].tolist())  # each suffix
     s_max = s_bits.shape[1]
     # a bit adds at most one phrase, and an open phrase counts as one
     top = max(lz.phrases.tolist(), default=0) + max(map(len, xs)) + 1
     cum = _cum_costs(top)
     mixed = min(s_width.tolist()) < s_max  # suffixes of more than one length
-    # a parent row has a phrase column per bit of p, a child row per bit of s
-    chunk = _BLOCK_ELEMENTS // max(1, int(cut[0])) or 1
-    rows = _BLOCK_ELEMENTS // s_max or 1
-
-    start = [0, *accumulate(map(len, occs))]
-    for lo in range(0, start[-1], chunk):
-        hi = min(lo + chunk, start[-1])
-        pieces = [(i, occs[i][max(lo - start[i], 0):hi - start[i]])
-                  for i in range(bisect_right(start, lo) - 1,
-                                 bisect_left(start, hi))]
-        pair_p = np.repeat([i for i, _ in pieces], [len(o) for _, o in pieces])
-        pair_t = np.fromiter(chain.from_iterable(o for _, o in pieces),
-                             np.intp, hi - lo)
-        first = np.searchsorted(order, pair_p * span)
-        live = np.searchsorted(order, pair_p * span + live_below[pair_t]) - first
-        on = np.flatnonzero(live)
-        pair_p, pair_t, first, live = pair_p[on], pair_t[on], first[on], live[on]
-        if not len(live):
-            continue
+    rows = occurrence._BLOCK_ELEMENTS // s_max or 1  # a column per bit of s
+    for pair_p, pair_t, first, live in chunks:
         end = np.cumsum(live)
         p_width = int(cut[pair_p[0]])  # the chunk's longest parent
         parse = [lz.at[pair_t], lz.node[pair_t],
@@ -246,7 +203,7 @@ def extras(bounds, coded, xs, lens, parents):
         for r0 in range(0, int(end[-1]), rows):
             r = np.arange(r0, min(r0 + rows, int(end[-1])))
             k = np.searchsorted(end, r, "right")  # each child row's pair
-            g = by_len[first[k] + r - (end[k] - live[k])]
+            g = order[first[k] + r - (end[k] - live[k])]
             if mixed:
                 o = _longest_first(s_width[g])
                 g, k = g[o], k[o]

@@ -22,13 +22,14 @@ decisions equal those of ``frequency``; this up to order
 ``_KT_MAX_ORDER``, while 2**(order + 1) rows by |T| fit ``_KT_TABLE_MAX``.
 Otherwise each candidate is counted on its own, from its L(x), parent by
 parent (as Eclat counts on tid-lists): the caller passes its frontier as
-arrays, and a child is counted only where its parent occurs.  LZ is
-counted in numpy: each (parent, transaction) pair is parsed once, a bit
-column at a time over all pairs, from the transaction's phrase trie
-cached as a flat table, and each child from there (``_lz_support``, on
-the batch module ``lzbatch``); its costs are integers, so its decisions
-equal those of ``frequency`` exactly.  The sequential coder counts the
-rest (``_count_by_parent``): KT past the closed form's limits, and the
+arrays, and a child is counted only where its parent occurs.  One
+planner (``_per_parent``) decides such a count, and the closed form's
+recount, on the extra costs of a pricer: for LZ ``lzbatch.extras``
+parses each (parent, transaction) pair once in numpy, a bit column at a
+time, from the transaction's phrase trie cached as a flat table, and
+each child from there (its costs are integers, so its decisions equal
+those of ``frequency`` exactly); the sequential coder (``_coder_prices``)
+prices the rest: KT past the closed form's limits, the recount, and the
 non-monotone external adapter on every transaction.
 """
 
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -48,8 +51,8 @@ VARIANTS = ("scale-free", "additive")
 # A closed-form extra cost this close to the noise threshold (plus the
 # tables' own rounding bound) is re-decided by the sequential coder.
 REDECIDE_TOL = 1e-9
-# Elements (groups x contexts x transactions) of one chunk of the KT
-# kernel; bounds the kernel's working memory.
+# Elements of one block of the KT kernel (groups x contexts x transactions),
+# the planner (pair x bit of the parent) or ``lzbatch`` (row x bit).
 _BLOCK_ELEMENTS = 1 << 13
 # Largest KT order counted in closed form.  Its columns span every
 # context a count touches, so its work grows with the order, while the
@@ -201,7 +204,9 @@ class Support(dict):
     candidate, the ascending indices of the transactions it occurs in, or
     None from the KT closed form.  ``near`` flags the members of the KT
     groups that rounding may split (see ``support``): another string of
-    their signature group may count otherwise."""
+    their signature group may count otherwise.  For LZ, which has no
+    groups and integer costs, the same test flags an extra cost on the
+    noise bound; nothing reads it there."""
     groups = 0
     pairs = 0
     occurrences = None
@@ -243,8 +248,9 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     with a pair near the noise bound, or a first member whose L(x) lies
     within ``_margin`` of an entropy bound.  This is the one place that
     chooses the KT count path and that makes these two tests.  Otherwise
-    each candidate is counted on its own, parent by parent: by
-    ``_lz_support`` for an ``LZBackend``, else by ``_count_by_parent``.
+    each candidate is counted on its own, parent by parent, as
+    ``_per_parent`` plans it, and so is the recount; the pricer is
+    ``lzbatch.extras`` for an ``LZBackend``, else ``_coder_prices``.
     ``parents`` is (patterns, their occurrence lists: the ascending
     indices of the transactions each occurs in, None for all, and each
     candidate's parent's index); None is one parent, the empty pattern,
@@ -264,6 +270,12 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     bounds = _bounds(params, cache)
     if parents is None or not backend.monotone:
         parents = [""], [None], np.zeros(len(candidates), dtype=np.intp)
+    if isinstance(backend, LZBackend):
+        from . import lzbatch  # loaded on first use: only LZ needs it
+
+        price = partial(lzbatch.extras, cache)
+    else:
+        price = partial(_coder_prices, backend, cache)
     if kt:  # the groups whose members' L(x) may lie across an entropy bound
         m, entropy = max(map(len, candidates)), np.sort(bounds[0])
         lead, margin = coded.reps.length, _margin(m, entropy.max(initial=0.0))
@@ -276,16 +288,15 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
         groups, pairs, found = len(coded.first), len(coded.first) * len(T), None
         again = np.flatnonzero(near)
         if len(again):
-            recount, more, _ = _count_by_parent(
-                backend, bounds, cache, [candidates[i] for i in again.tolist()],
+            recount, more, _ = _per_parent(
+                price, bounds, cache, [candidates[i] for i in again.tolist()],
                 coded.length[again], (*parents[:2], parents[2][again]))
             counts[again] = [len(ts) for ts in recount]
             pairs += more
         counts = counts.tolist()
     else:
-        count = _lz_support if isinstance(backend, LZBackend) else _count_by_parent
-        found, pairs, near = count(backend, bounds, cache, candidates,
-                                   coded.length if kt else coded, parents)
+        found, pairs, near = _per_parent(price, bounds, cache, candidates,
+                                         coded.length if kt else coded, parents)
         if kt:
             near |= edge[coded.group]
         groups, counts = len(candidates), [len(ts) for ts in found]
@@ -295,62 +306,88 @@ def support(backend, params: OccurrenceParams, T: TransactionSet, candidates,
     return result
 
 
-def _count_by_parent(backend, bounds, coded: _Coded, xs, lens, parents):
-    """(occurrence list of each x, pairs priced, near flag of each x) by
-    the sequential coder; x is near where an extra cost of it lies within
-    ``REDECIDE_TOL`` of the noise bound.
+def _per_parent(price, bounds, coded: _Coded, xs, lens, parents):
+    """(occurrence list of each x, pairs priced, near flag of each x),
+    counted parent by parent (as Eclat counts on tid-lists); x is near
+    where an extra cost of it lies within ``REDECIDE_TOL`` of the noise
+    bound.  ``lens`` holds each L(x), and ``parents`` is as ``support``
+    resolves it.
 
-    For every parent p and transaction y in p's occurrence list where some
-    child of p passes entropy reduction, y || p is parsed once; each child
-    x = p || s is then priced by s alone from that state, continuing p's
-    extra cost (``extend_cost``'s running sum), so each extra cost is
-    bit-identical to ``extend_cost(state_y, x)``.
+    A child of p is live on a transaction of p's list where its L(x)
+    passes entropy reduction, so where its rank among the distinct L(x)
+    is below that of the entropy bound.  ``price(plan, chunks)`` prices
+    the live pairs.  ``plan`` is (xs, the parents longest first, each
+    x's parent's index in them, ``order``: the x by (parent, L(x))).  A
+    chunk is the (parent, transaction) pairs, of ``_BLOCK_ELEMENTS``
+    parent bits in all, that have a live child, as arrays (parent,
+    transaction, first, live); a pair's live children are
+    ``order[first:first + live]``.  The pricer yields (children,
+    transactions, extra costs), each cost ``==`` ``extend_cost(state_y,
+    x)``, and a child's pairs in the order of its parent's list.
     """
-    max_len_x, max_extra = (b.tolist() for b in bounds)
-    lens = lens.tolist()
+    entropy, noise = bounds
     patterns, lists, of = parents
-    by = np.argsort(of, kind="stable")  # children by parent
-    ends = np.searchsorted(of[by], np.arange(len(patterns) + 1)).tolist()
+    by = sorted(range(len(patterns)), key=lambda i: -len(patterns[i]))
+    of = np.argsort(by)[of]
+    patterns = [patterns[i] for i in by]
+    occs = [range(len(coded.items)) if lists[i] is None else lists[i]
+            for i in by]
+    distinct, rank = np.unique(lens, return_inverse=True)
+    span = len(distinct) + 1
+    key = of * span + rank
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    live_below = np.searchsorted(distinct, entropy, "right")
+    step = _BLOCK_ELEMENTS // max(1, len(patterns[0])) or 1
+    ps = chain.from_iterable(map(repeat, range(len(occs)), map(len, occs)))
+    ts = chain.from_iterable(occs)
+
+    def chunks():
+        while len(p := np.fromiter(islice(ps, step), np.intp)):
+            t = np.fromiter(ts, np.intp, len(p))
+            first = np.searchsorted(key, p * span)
+            live = np.searchsorted(key, p * span + live_below[t]) - first
+            on = np.flatnonzero(live)
+            if len(on):
+                yield p[on], t[on], first[on], live[on]
+
     found = [[] for _ in xs]
     near = np.zeros(len(xs), dtype=bool)
-    pairs = t = 0
-    try:
-        for p, occ, lo, hi in zip(patterns, lists, ends, ends[1:]):
-            gs, cut = by[lo:hi].tolist(), len(p)
-            for t in range(len(coded.items)) if occ is None else occ:
-                live = [g for g in gs if lens[g] <= max_len_x[t]]
-                if not live:
-                    continue
-                state, extra_p = coded.states[t], 0.0
-                if cut:
-                    state, extra_p = backend.extend(state, p)
-                pairs += len(live)
-                for g in live:
-                    extra = backend.extend_cost(state, xs[g][cut:], extra_p)
-                    if extra <= max_extra[t]:
-                        found[g].append(t)
-                    near[g] |= abs(extra - max_extra[t]) <= REDECIDE_TOL
-    except EstimationError as exc:
-        raise EstimationError(f"transaction {t}: {exc}") from exc
-    return found, pairs, near
-
-
-def _lz_support(backend, bounds, coded: _Coded, xs, lens, parents):
-    """``_count_by_parent`` for ``LZBackend``, in numpy: the noise test on
-    the pairs and extra costs of ``lzbatch.extras``.  LZ costs are
-    integers, exact as floats, so each test is decided as ``frequency``
-    decides it, and no x is near."""
-    from . import lzbatch  # loaded on first use: only LZ needs it
-
-    found = [[] for _ in xs]
     pairs = 0
-    for g, t, extra in lzbatch.extras(bounds, coded, xs, lens, parents):
+    for g, t, extra in price((xs, patterns, of, order), chunks()):
         pairs += len(g)
-        ok = np.flatnonzero(extra <= bounds[1][t])
+        near[g[np.abs(extra - noise[t]) <= REDECIDE_TOL]] = True
+        ok = np.flatnonzero(extra <= noise[t])
         # a child's pairs come in order: its transactions ascend
         for x, y in zip(g[ok].tolist(), t[ok].tolist()):
             found[x].append(y)
-    return found, pairs, np.zeros(len(xs), dtype=bool)
+    return found, pairs, near
+
+
+def _coder_prices(backend, coded: _Coded, plan, chunks):
+    """``_per_parent``'s pricer by the sequential coder: y || p is coded
+    once per pair, and each live child x = p || s is priced by s alone
+    from that state, continuing p's extra cost (``extend_cost``'s running
+    sum), so each extra cost is bit-identical to ``extend_cost(state_y,
+    x)``."""
+    xs, patterns, of, order = plan
+    suffixes = [xs[g][len(patterns[p]):]
+                for g, p in zip(order.tolist(), of[order].tolist())]
+    for p, t, first, live in chunks:
+        extra = []
+        for i, y, lo, n in zip(p.tolist(), t.tolist(), first.tolist(),
+                               live.tolist()):
+            try:
+                state, extra_p = coded.states[y], 0.0
+                if patterns[i]:
+                    state, extra_p = backend.extend(state, patterns[i])
+                extra += [backend.extend_cost(state, s, extra_p)
+                          for s in suffixes[lo:lo + n]]
+            except EstimationError as exc:
+                raise EstimationError(f"transaction {y}: {exc}") from exc
+        end = np.cumsum(live)
+        rows = np.arange(end[-1]) + np.repeat(first - end + live, live)
+        yield order[rows], np.repeat(t, live), np.array(extra)
 
 
 @dataclass

@@ -215,6 +215,22 @@ class TestOracle:
         assert header["epsilon"] == "6"
         assert all(count >= 6 for _, count, _, _ in records)
 
+    def test_diff_writes_out_on_a_match_and_a_mismatch(self, tmp_path,
+                                                       capsys):
+        # stdout keeps the verdict alone; --out gets the oracle's result
+        diff = ["--diff", str(FIXTURES / "mine7.golden.txt")]
+        for max_len, status in (("15", 0), ("10", 2)):
+            plain, out = tmp_path / "plain.txt", tmp_path / "out.txt"
+            argv = ["oracle", DATASET, "--epsilon", "4", "--c1", "0.6",
+                    "--c2", "0.3", "--max-len", max_len]
+            assert main([*argv, "--out", str(plain)]) == 0
+            capsys.readouterr()
+            assert main([*argv, *diff, "--out", str(out)]) == status
+            verdict = capsys.readouterr().out
+            assert verdict == ("identical: 341 patterns\n" if status == 0
+                               else "")
+            assert read(out) == read(plain)
+
     @pytest.mark.parametrize("flags, coder", [
         (["--order", "1"], bitmine.KTBackend(1)),
         (["--backend", "lz"], bitmine.LZBackend()),

@@ -235,8 +235,11 @@ class TestSupportByParent:
                   else OccurrenceParams(variant="additive", c3=12 * c_a, c4=12 * c_b))
         parents = [""]
         if parent_len:
+            # parents of lengths shortest..parent_len in one count, as
+            # level 1 has after the seed
+            shortest = data.draw(st.integers(1, parent_len))
             parents = data.draw(st.lists(
-                st.text(alphabet="01", min_size=parent_len, max_size=parent_len),
+                st.text(alphabet="01", min_size=shortest, max_size=parent_len),
                 min_size=1, max_size=4, unique=True))
         self._check(LZBackend(), params, items, parents, step_bits)
 
@@ -245,11 +248,34 @@ class TestSupportByParent:
         # parent, continuing the parent's float sum, so decisions match.
         monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1)
         items = gen_random(10, (16, 28), 21).items
-        parents = [format(v, "04b") for v in range(16)]
         backend = KTBackend(2)
-        T, _, counts = self._check(backend, SCALE, items, parents, 2)
-        assert T.cached(backend).kt is None  # the closed form did not run
-        assert any(counts.values())
+        # parents of one length, and of lengths 1 and 2 as at level 1
+        for parents in ([format(v, "04b") for v in range(16)],
+                        ["0", "1", "00", "01", "10", "11"]):
+            T, _, counts = self._check(backend, SCALE, items, parents, 2)
+            assert T.cached(backend).kt is None  # the closed form did not run
+            assert any(counts.values())
+
+    @pytest.mark.parametrize("backend", [LZBackend(), KTBackend(2)],
+                             ids=["lz", "kt2-coder"])
+    def test_a_parent_with_an_empty_list_beside_one_with_none(
+            self, backend, monkeypatch):
+        # each child is counted on its parent's list alone: on no
+        # transaction for the empty list, on every one for None
+        monkeypatch.setattr(occurrence, "_KT_TABLE_MAX", 1)  # KT: the coder
+        items = gen_random(10, (16, 28), 21).items
+        T = TransactionSet(items)
+        patterns, lists = ["0110", "", "1"], [[], None, [0, 3, 4, 7]]
+        xs = [p + s for p in patterns for s in bitutil.all_of_length(2)]
+        of = np.repeat(np.arange(len(patterns)), 4)
+        counts = support(backend, SCALE, T, xs, parents=(patterns, lists, of))
+        for x, i, found in zip(xs, of.tolist(), counts.occurrences):
+            on = range(len(items)) if lists[i] is None else lists[i]
+            expected = [t for t in on if occurs(backend, SCALE, x, items[t])]
+            assert counts[x] == len(expected) and found == expected, x
+        # the empty list hides occurrences, and the other two lists count
+        assert any(frequency(backend, SCALE, T, x) for x in xs[:4])
+        assert all(any(counts[x] for x in xs[k:k + 4]) for k in (4, 8))
 
     def test_external_backend_is_counted_from_its_coder_states(self):
         # The external adapter has no signature groups: each candidate is
@@ -366,8 +392,9 @@ def _reads_own_phrase(state, bits, cut=0):
 
 class TestLZKernel:
     """``lzbatch.extras`` prices the live (child, transaction) pairs
-    of an LZ count in numpy; every extra cost must be the coder's,
-    ``extend_cost`` after ``extend(state_y, p)``, bit for bit."""
+    of an LZ count in numpy, as ``occurrence._per_parent`` plans them;
+    every extra cost must be the coder's, ``extend_cost`` after
+    ``extend(state_y, p)``, bit for bit."""
 
     @staticmethod
     def _check(items, xs, parents=None, params=SCALE):
@@ -377,10 +404,17 @@ class TestLZKernel:
         coded = T.cached(lz)
         lens = [lz.code_len(x) for x in xs]
         bounds = occurrence._bounds(params, coded)
+        yielded = []
+
+        def recording(plan, chunks):
+            for block in lzbatch.extras(coded, plan, chunks):
+                yielded.append(block)
+                yield block
+
+        occurrence._per_parent(recording, bounds, coded, xs, np.array(lens),
+                               parents_of(xs, parents or dict.fromkeys(xs, "")))
         priced = {}
-        for g, t, extra in lzbatch.extras(
-                bounds, coded, xs, np.array(lens),
-                parents_of(xs, parents or dict.fromkeys(xs, ""))):
+        for g, t, extra in yielded:
             for i, y, e in zip(g.tolist(), t.tolist(), extra.tolist()):
                 x = xs[i]
                 p = "" if parents is None else parents[x]
@@ -399,7 +433,7 @@ class TestLZKernel:
     def test_a_pattern_walks_into_a_phrase_it_added(self, block, monkeypatch):
         # after y = "0" the root has no 1-edge: "1" adds it, and the next
         # "1" reads it, in the parent's parse or in the child's own
-        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(occurrence, "_BLOCK_ELEMENTS", block)
         items = ["0", "1", "0110", "0" * 40, "0110100110010110" * 3]
         xs = [p + s for p in ("1", "11", "0101") for s in ("0", "1")]
         xs = list(dict.fromkeys(xs + ["1011", "110110"]))
@@ -436,7 +470,7 @@ class TestLZKernel:
     def test_a_pairs_children_across_child_blocks(self, block, monkeypatch):
         # each child row reads its pair's phrases by index, in whichever
         # block it lands; small blocks split one pair's children
-        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(occurrence, "_BLOCK_ELEMENTS", block)
         rows = []
 
         def spy(lz, parse, bits, which, widths, pairs=None):
@@ -497,7 +531,7 @@ class TestLZKernel:
 
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
     def test_children_of_each_step(self, step, monkeypatch):
-        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(occurrence, "_BLOCK_ELEMENTS", 40)
         items = gen_random(9, (20, 60), 40 + step).items
         rng = random.Random(step)
         parents = [random_bits(rng, 2, 7) for _ in range(5)]
@@ -554,6 +588,6 @@ class TestLZKernel:
         rng = random.Random(5)
         xs = [random_bits(rng, 1, 300) for _ in range(40)] + ["0", "1"]
         expected = [code_len(LZBackend(), x) for x in xs]
-        monkeypatch.setattr(lzbatch, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(occurrence, "_BLOCK_ELEMENTS", 64)
         monkeypatch.setattr(LZBackend, "extend_cost", None)
         assert occurrence.code_strings(LZBackend(), xs).tolist() == expected

@@ -385,7 +385,10 @@ def test_bound_on_a_computed_value_counts_like_frequency(order, variant, side):
         expected = {x: frequency(backend, params, T, x) for x in xs}
         if order != 9:  # the bound splits the two
             assert expected[xs[0]] != expected[xs[1]]
-        assert support(backend, params, T, xs) == expected
+        counts = support(backend, params, T, xs)
+        assert counts == expected
+        if side == "noise" and target in extra:  # on the bound: near
+            assert counts.near[extra.index(target)]
         assert support(backend, params, T, xs[::-1]) == expected
         mined = mine(backend, params, T, MiningConfig(
             epsilon=1, step_bits=2, max_level=(len(xs[0]) - 1) // 2)).as_dict()
